@@ -17,10 +17,13 @@
 #      plus a negative control that a seeded write-skew cycle fails the run
 #   6. UndefinedBehaviorSanitizer build + full test suite
 #   7. AddressSanitizer build + full test suite
+#   8. ThreadSanitizer build + full test suite
+# Stages 6-8 run the same fiber scheduler as the release build, with every
+# switch announced to ASan/TSan through the sanitizer fiber API.
 #
-# Build trees (build/, build-ubsan/, build-asan/) are reused incrementally:
-# the first cold run compiles three trees (~20 min at -j1); warm runs finish
-# in a few minutes.
+# Build trees (build/, build-ubsan/, build-asan/, build-tsan/) are reused
+# incrementally: the first cold run compiles four trees (each takes several
+# minutes at -j1); warm runs finish in a few minutes.
 #
 # Usage: scripts/ci.sh [jobs]
 
@@ -121,6 +124,11 @@ echo "=== ASAN build + full test suite ==="
 cmake -B build-asan -S . -DLOCUS_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure)
+
+echo "=== TSAN build + full test suite ==="
+cmake -B build-tsan -S . -DLOCUS_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j "$JOBS"
+(cd build-tsan && ctest --output-on-failure)
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== clang-tidy (lock, txn, sim, net, form, recon, mc, serial) ==="

@@ -6,9 +6,21 @@
 #include <cstdlib>
 #include <limits>
 
-#ifdef LOCUS_SIM_FIBERS
 #include <sys/mman.h>
-#include <unistd.h>
+
+#if !defined(__x86_64__) || !defined(__linux__)
+#error "the fiber switch below is written for x86-64 Linux only"
+#endif
+
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || __has_feature(address_sanitizer)
+#define LOCUS_ASAN_FIBERS 1
+#include <sanitizer/asan_interface.h>
+#elif defined(__SANITIZE_THREAD__) || __has_feature(thread_sanitizer)
+#define LOCUS_TSAN_FIBERS 1
+#include <sanitizer/tsan_interface.h>
 #endif
 
 namespace locus {
@@ -72,52 +84,68 @@ const char* ProtocolStepName(ProtocolStep step) {
 }
 
 // ---------------------------------------------------------------------------
-// SimProcess — fiber backend
+// SimProcess — fibers
 
-#ifdef LOCUS_SIM_FIBERS
+// Pushes the callee-saved registers, MXCSR and the x87 control word, stores
+// the stack pointer in *save_sp and pops the same from next_sp: a stack saved
+// here before, or a first frame built by SimProcess::RunUntilParked.
+extern "C" void locus_sim_switch(void** save_sp, void* next_sp);
+asm(R"(
+  .text
+  .globl locus_sim_switch
+  .hidden locus_sim_switch
+  .type locus_sim_switch, @function
+locus_sim_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size locus_sim_switch, .-locus_sim_switch
+)");
 
 namespace {
 // Stack per process. Kernel paths nest a few dozen frames at most; the
 // guard page below the stack turns an overflow into a clean SIGSEGV instead
 // of silent corruption. Pages are committed lazily by the OS, so the
-// per-process cost is the pages actually touched.
+// per-stack cost is the pages actually touched.
 constexpr size_t kFiberStackBytes = 512 * 1024;
+constexpr size_t kGuardBytes = 4096;  // One x86-64 page.
 }  // namespace
 
 SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
                        std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  stack_bytes_ = kFiberStackBytes + page;
-  stack_base_ = mmap(nullptr, stack_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-  assert(stack_base_ != MAP_FAILED && "fiber stack allocation failed");
-  [[maybe_unused]] int rc = mprotect(stack_base_, page, PROT_NONE);
-  assert(rc == 0);
-  getcontext(&context_);
-  context_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page;
-  context_.uc_stack.ss_size = kFiberStackBytes;
-  // When FiberMain returns the fiber resumes the scheduler.
-  context_.uc_link = &sim_->scheduler_context_;
-  makecontext(&context_, reinterpret_cast<void (*)()>(&SimProcess::FiberMain), 0);
-}
+    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 SimProcess::~SimProcess() {
-  if (started_ && state_ != State::kFinished) {
-    // The process never finished (still blocked at teardown): grant it
-    // control one last time with the cancel flag set so the body unwinds
-    // and its stack frames are destroyed.
+  if (stack_ != nullptr) {
+    // Started but never finished (still blocked at teardown): grant it control
+    // one last time with the cancel flag set so the body unwinds, its frames
+    // are destroyed and the stack goes back to the pool.
     cancelled_ = true;
     RunUntilParked();
   }
-  if (stack_base_ != nullptr) {
-    munmap(stack_base_, stack_bytes_);
-  }
 }
 
-// Entry point of every fiber; runs with g_current_process already set.
 void SimProcess::FiberMain() {
   SimProcess* self = g_current_process;
+  self->SwitchedIn();
   if (!self->cancelled_) {
     try {
       self->body_();
@@ -126,11 +154,28 @@ void SimProcess::FiberMain() {
     }
   }
   self->state_ = State::kFinished;
-  // Returning resumes scheduler_context_ via uc_link.
+  self->SwitchToScheduler(/*finished=*/true);
+  __builtin_unreachable();
+}
+
+void SimProcess::SwitchedIn() {
+#ifdef LOCUS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(san_fiber_, &san_from_, &san_from_size_);
+#endif
+}
+
+void SimProcess::SwitchToScheduler([[maybe_unused]] bool finished) {
+#ifdef LOCUS_ASAN_FIBERS
+  __sanitizer_start_switch_fiber(finished ? nullptr : &san_fiber_, san_from_, san_from_size_);
+#elif defined(LOCUS_TSAN_FIBERS)
+  __tsan_switch_to_fiber(const_cast<void*>(san_from_), 0);
+#endif
+  locus_sim_switch(&sp_, sim_->scheduler_sp_);
+  SwitchedIn();
 }
 
 void SimProcess::YieldToScheduler() {
-  swapcontext(&context_, &sim_->scheduler_context_);
+  SwitchToScheduler(/*finished=*/false);
   // Control is back: either a normal wake-up or a cancellation grant.
   if (cancelled_) {
     throw SimCancelled{};
@@ -141,92 +186,45 @@ void SimProcess::YieldToScheduler() {
 void SimProcess::RunUntilParked() {
   SimProcess* prev = g_current_process;
   g_current_process = this;
-  if (!started_) {
-    started_ = true;
+  if (stack_ == nullptr) {  // First run.
     state_ = State::kRunning;
+    // Build the frame the first switch pops: zeroed callee-saved registers,
+    // the scheduler's MXCSR and x87 control word, and FiberMain as return
+    // address. Above it, a null slot stands in for FiberMain's own return
+    // address, so FiberMain starts with rsp = 8 (mod 16) as if called.
+    stack_ = sim_->AcquireStack();
+    uint16_t x87_control = 0;
+    __asm__("fnstcw %0" : "=m"(x87_control));
+    auto* frame = reinterpret_cast<uint64_t*>(stack_ + kFiberStackBytes) - 10;
+    std::fill(frame, frame + 10, 0);
+    frame[0] = x87_control;
+    frame[1] = __builtin_ia32_stmxcsr();
+    frame[8] = reinterpret_cast<uint64_t>(&SimProcess::FiberMain);
+    sp_ = frame;
+#ifdef LOCUS_TSAN_FIBERS
+    san_fiber_ = __tsan_create_fiber(0);
+#endif
   }
-  swapcontext(&sim_->scheduler_context_, &context_);
+#ifdef LOCUS_ASAN_FIBERS
+  void* fake_stack = nullptr;
+  __sanitizer_start_switch_fiber(&fake_stack, stack_, kFiberStackBytes);
+#elif defined(LOCUS_TSAN_FIBERS)
+  san_from_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(san_fiber_, 0);
+#endif
+  locus_sim_switch(&sim_->scheduler_sp_, sp_);
+#ifdef LOCUS_ASAN_FIBERS
+  __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
   g_current_process = prev;
-}
-
-#else  // !LOCUS_SIM_FIBERS
-
-// ---------------------------------------------------------------------------
-// SimProcess — thread backend
-
-SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
-                       std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {
-  thread_ = std::thread([this] {
-    g_current_process = this;
-    AwaitGrant();
-    if (!cancelled_) {
-      try {
-        body_();
-      } catch (const SimCancelled&) {
-        // Teardown unwound the body; nothing more to do.
-      }
-    }
-    state_ = State::kFinished;
-    std::unique_lock<std::mutex> lock(mu_);
-    thread_done_ = true;
-    parked_ = true;
-    cv_.notify_all();
-  });
-}
-
-SimProcess::~SimProcess() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!thread_done_) {
-      // The process never finished (still blocked at teardown): grant it
-      // control one last time with the cancel flag set so the body unwinds.
-      cancelled_ = true;
-      has_control_ = true;
-      cv_.notify_all();
-    }
-  }
-  if (thread_.joinable()) {
-    thread_.join();
+  if (state_ == State::kFinished) {
+#ifdef LOCUS_TSAN_FIBERS
+    __tsan_destroy_fiber(san_fiber_);
+#endif
+    sim_->free_stacks_.push_back(stack_);
+    stack_ = nullptr;
   }
 }
-
-void SimProcess::AwaitGrant() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return has_control_; });
-  if (cancelled_) {
-    // We are being torn down. If the body is already on the stack, unwind it;
-    // if this is the initial grant, the thread function checks cancelled_.
-    if (state_ != State::kReady) {
-      lock.unlock();
-      throw SimCancelled{};
-    }
-  }
-  state_ = State::kRunning;
-}
-
-void SimProcess::YieldToScheduler() {
-  std::unique_lock<std::mutex> lock(mu_);
-  has_control_ = false;
-  parked_ = true;
-  cv_.notify_all();
-  cv_.wait(lock, [this] { return has_control_; });
-  if (cancelled_) {
-    lock.unlock();
-    throw SimCancelled{};
-  }
-  state_ = State::kRunning;
-}
-
-void SimProcess::RunUntilParked() {
-  std::unique_lock<std::mutex> lock(mu_);
-  parked_ = false;
-  has_control_ = true;
-  cv_.notify_all();
-  cv_.wait(lock, [this] { return parked_; });
-}
-
-#endif  // LOCUS_SIM_FIBERS
 
 // ---------------------------------------------------------------------------
 // WaitQueue
@@ -264,9 +262,31 @@ void WaitQueue::NotifyAll() {
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
-  // Destroy processes before anything else so their stacks unwind while the
-  // simulation object is still alive.
+  // Destroy processes before anything else so their stacks unwind (and return
+  // to the pool) while the simulation object is still alive.
   processes_.clear();
+  for (char* stack : free_stacks_) {
+    munmap(stack - kGuardBytes, kGuardBytes + kFiberStackBytes);
+  }
+}
+
+char* Simulation::AcquireStack() {
+  if (!free_stacks_.empty()) {
+    char* stack = free_stacks_.back();
+    free_stacks_.pop_back();
+#ifdef LOCUS_ASAN_FIBERS
+    // Frames of the last fiber that never returned may have left redzones.
+    __asan_unpoison_memory_region(stack, kFiberStackBytes);
+#endif
+    return stack;
+  }
+  void* base = mmap(nullptr, kGuardBytes + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED || mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+    perror("sim: fiber stack allocation failed");
+    abort();
+  }
+  return static_cast<char*>(base) + kGuardBytes;
 }
 
 void Simulation::Schedule(SimTime delay, std::function<void()> fn) {

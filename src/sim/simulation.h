@@ -5,32 +5,21 @@
 // or a SimProcess. Process bodies are written in natural blocking style (as
 // Unix syscalls are) while the run stays fully deterministic.
 //
-// Two execution backends implement the cooperative hand-off:
-//   - Fibers (default on Linux): each process is a ucontext fiber on its own
-//     guarded stack. A switch is a userspace register swap — no syscalls, no
-//     OS scheduler involvement — which is what lets large simulated clusters
-//     run at memory speed (the per-switch futex handshake of the thread
-//     backend dominated wall-clock time at 6+ sites).
-//   - Threads (sanitizer builds, non-Linux, or -DLOCUS_SIM_THREADS): each
-//     process is an OS thread parked on a condition variable. Semantically
-//     identical, much slower, but transparent to ASan/TSan stack bookkeeping.
+// Every process is a fiber on a guarded stack, and there is one scheduler in
+// every build. A switch saves the callee-saved registers, MXCSR and the x87
+// control word, swaps the stack pointer and returns: no signal-mask syscall,
+// no OS scheduler. That unchecked hand-off is safe because the scheduler is
+// the only thing that ever resumes a fiber, and it does so in an order fixed
+// by the event queue; the virtual results cannot depend on how fast a switch
+// is. Stacks come from a per-Simulation free list: a process takes one the
+// first time it runs and gives it back once its body has finished. Each
+// pooled stack keeps its PROT_NONE guard page, so an overflow still faults
+// instead of silently corrupting a neighbouring stack. ASan and TSan builds
+// run this same scheduler, with each switch announced through the sanitizer
+// fiber API.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
-
-#ifndef LOCUS_SIM_THREADS
-#if defined(__linux__)
-#define LOCUS_SIM_FIBERS 1
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#undef LOCUS_SIM_FIBERS
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#undef LOCUS_SIM_FIBERS
-#endif
-#endif
-#endif  // LOCUS_SIM_THREADS
 
 #include <cstdint>
 #include <deque>
@@ -39,14 +28,6 @@
 #include <queue>
 #include <string>
 #include <vector>
-
-#ifdef LOCUS_SIM_FIBERS
-#include <ucontext.h>
-#else
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#endif
 
 #include "src/sim/random.h"
 #include "src/sim/time.h"
@@ -157,16 +138,16 @@ enum class DrainWatchdog {
 };
 
 // Thrown inside a SimProcess body when the simulation is tearing down while
-// the process is still blocked; unwinds the body so its stack can be freed.
+// the process is still blocked; unwinds the body so its stack can be reused.
 // Process bodies must be exception safe (RAII) but should not catch this.
 struct SimCancelled {};
 
 // A cooperative simulated thread of control.
 //
-// Created via Simulation::Spawn. The body runs on a dedicated fiber (or OS
-// thread), but only while the scheduler has handed it control; every blocking
-// primitive (Sleep, WaitQueue::Wait, ...) parks it and returns control to the
-// scheduler until a wake-up event fires.
+// Created via Simulation::Spawn. The body runs on a fiber, but only while the
+// scheduler has handed it control; every blocking primitive (Sleep,
+// WaitQueue::Wait, ...) parks it and returns control to the scheduler until a
+// wake-up event fires.
 class SimProcess {
  public:
   enum class State { kReady, kRunning, kBlocked, kFinished };
@@ -186,7 +167,7 @@ class SimProcess {
 
   SimProcess(Simulation* sim, uint64_t id, std::string name, std::function<void()> body);
 
-  // Runs on the process fiber/thread: returns control to the scheduler.
+  // Runs on the process fiber: returns control to the scheduler.
   void YieldToScheduler();
   // Runs on the scheduler: transfers control to this process and returns
   // when the process parks or finishes.
@@ -199,24 +180,23 @@ class SimProcess {
   State state_ = State::kReady;
   bool cancelled_ = false;
 
-#ifdef LOCUS_SIM_FIBERS
-  static void FiberMain();
+  // Entry point of every fiber, reached by the first switch into it. It ends
+  // by switching to the scheduler and never returns.
+  [[noreturn]] static void FiberMain();
+  // Run on the process fiber: SwitchedIn tells the sanitizers a switch has
+  // arrived; SwitchToScheduler saves the fiber and resumes the scheduler
+  // (`finished`: the fiber will never run again).
+  void SwitchedIn();
+  void SwitchToScheduler(bool finished);
 
-  ucontext_t context_;
-  void* stack_base_ = nullptr;  // mmap'd region; first page is a guard page.
-  size_t stack_bytes_ = 0;
-  bool started_ = false;
-#else
-  // Runs on the process thread: waits until the scheduler grants control.
-  void AwaitGrant();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool has_control_ = false;   // process may run
-  bool parked_ = true;         // process has returned control
-  bool thread_done_ = false;
-  std::thread thread_;
-#endif
+  // The stack, held from the first run until the body has finished.
+  char* stack_ = nullptr;
+  void* sp_ = nullptr;  // Saved stack pointer while parked.
+  // Sanitizer state: this fiber's TSan handle or ASan fake-stack save, and
+  // the scheduler (TSan fiber, or ASan stack bottom and size) it returns to.
+  void* san_fiber_ = nullptr;
+  const void* san_from_ = nullptr;
+  size_t san_from_size_ = 0;
 };
 
 // A condition-variable analogue for SimProcesses. Wait() parks the calling
@@ -361,11 +341,11 @@ class Simulation {
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::vector<std::unique_ptr<SimProcess>> processes_;
 
-#ifdef LOCUS_SIM_FIBERS
-  // The scheduler's own context, saved while a fiber runs; fibers swap back
-  // into it when they park or finish.
-  ucontext_t scheduler_context_;
-#endif
+  // Fiber stacks, each just above its guard page. Finished processes push
+  // theirs onto free_stacks_; they are unmapped with the Simulation.
+  char* AcquireStack();
+  std::vector<char*> free_stacks_;
+  void* scheduler_sp_ = nullptr;  // Saved while a fiber runs.
 };
 
 }  // namespace locus

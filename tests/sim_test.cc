@@ -1,10 +1,21 @@
 // Tests for the discrete-event engine: ordering, virtual time, cooperative
-// processes, wait queues, determinism, and forced termination.
+// processes, wait queues, determinism, forced termination, and the fiber
+// scheduler's stack pool and per-fiber register state.
 
 #include "src/sim/simulation.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
+#include <xmmintrin.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -198,8 +209,195 @@ TEST(Simulation, TeardownWithBlockedProcessesDoesNotHang) {
     sim->Spawn("stuck" + std::to_string(i), [&] { queue.Wait(); });
   }
   sim->Run();
-  sim.reset();  // Must join all threads without deadlock.
+  sim.reset();  // Must unwind every blocked fiber without deadlock.
   SUCCEED();
+}
+
+// Number of memory mappings of this process (lines of /proc/self/maps).
+int MapCount() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  int n = 0;
+  while (std::getline(maps, line)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Simulation, FinishedProcessesReturnTheirStacksToThePool) {
+  // 100k processes through one Simulation, at most 200 alive at once. Were a
+  // finished process to keep its guarded stack (two mappings) until the
+  // Simulation dies, this would pass vm.max_map_count (65530 by default).
+  constexpr int kProcesses = 100000;
+  constexpr int kBatch = 200;
+  Simulation sim;
+  const int maps_before = MapCount();
+  int finished = 0;
+  int maps_during = 0;
+  sim.Spawn("spawner", [&] {
+    for (int i = 0; i < kProcesses; ++i) {
+      sim.Spawn("child", [&] {
+        sim.Sleep(Microseconds(1));
+        ++finished;
+      });
+      if (i % kBatch == kBatch - 1) {
+        sim.Sleep(Microseconds(10));
+      }
+    }
+    maps_during = MapCount();
+  });
+  sim.Run();
+  EXPECT_EQ(finished, kProcesses);
+  EXPECT_EQ(sim.spawned_process_count(), kProcesses + 1);
+  EXPECT_EQ(sim.blocked_process_count(), 0);
+  // Mappings follow the live fibers (about kBatch), not the 100k spawned: two
+  // per stack, plus whatever the TSan runtime keeps per live fiber (about 8).
+  EXPECT_LT(maps_during - maps_before, 20 * kBatch);
+}
+
+TEST(Simulation, KillAndTeardownUnwindProcessesOnRecycledStacks) {
+  auto sim = std::make_unique<Simulation>();
+  WaitQueue queue(sim.get());
+  uintptr_t first_frame = 0;
+  sim->Spawn("first", [&] {
+    int local = 0;
+    first_frame = reinterpret_cast<uintptr_t>(&local);
+  });
+  sim->Run();  // "first" finished; its stack is back in the pool.
+
+  struct Guard {
+    int* unwound;
+    ~Guard() { ++*unwound; }
+  };
+  int unwound = 0;
+  bool resumed = false;
+  uintptr_t victim_frame = 0;
+  SimProcess* victim = sim->Spawn("victim", [&] {
+    Guard guard{&unwound};
+    int local = 0;
+    victim_frame = reinterpret_cast<uintptr_t>(&local);
+    queue.Wait();
+    resumed = true;
+  });
+  sim->Schedule(Milliseconds(1), [&] { sim->Kill(victim); });
+  sim->Run();
+  // The victim ran on the stack "first" gave back, and Kill unwound it there.
+  const uintptr_t distance = victim_frame > first_frame ? victim_frame - first_frame
+                                                        : first_frame - victim_frame;
+  EXPECT_LT(distance, 64u * 1024);
+  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_EQ(unwound, 1);
+  EXPECT_FALSE(resumed);
+
+  // The victim's stack went back too; teardown unwinds blocked processes on
+  // recycled stacks through SimCancelled.
+  for (int i = 0; i < 3; ++i) {
+    sim->Spawn("stuck", [&] {
+      Guard guard{&unwound};
+      queue.Wait();
+      resumed = true;
+    });
+  }
+  sim->Run();
+  EXPECT_EQ(sim->blocked_process_count(), 3);
+  sim.reset();
+  EXPECT_EQ(unwound, 4);
+  EXPECT_FALSE(resumed);
+}
+
+// Recurses through `depth` frames of a little over 1 KiB each. Each frame
+// reaches at most that far below the one above it, so the first access past
+// the end of a stack lands in the 4 KiB guard page below it.
+__attribute__((noinline)) int Recurse(int depth) {
+  volatile char frame[1024];
+  frame[0] = static_cast<char>(depth);
+  frame[sizeof(frame) - 1] = frame[0];
+  if (depth == 0) {
+    return frame[0];
+  }
+  return Recurse(depth - 1) + frame[sizeof(frame) - 1];
+}
+
+// Runs one process to completion so its stack is pooled, then runs `body`
+// on that recycled stack.
+void RunOnPooledStack(const std::function<void()>& body) {
+  Simulation sim;
+  sim.Spawn("warm", [] {});
+  sim.Run();
+  sim.Spawn("deep", body);
+  sim.Run();
+}
+
+// Upper end of the deep fiber's stack. Stacks are 512 KiB and end on a page
+// boundary, with a 4 KiB guard page below them.
+uintptr_t g_deep_stack_top = 0;
+
+void ReportOverflowFault(int, siginfo_t* info, void*) {
+  const uintptr_t guard_end = g_deep_stack_top - 512 * 1024;
+  const uintptr_t addr = reinterpret_cast<uintptr_t>(info->si_addr);
+  const bool on_guard = addr < guard_end && addr >= guard_end - 4096;
+  const char* msg = on_guard ? "fault on guard page\n" : "fault elsewhere\n";
+  (void)!write(STDERR_FILENO, msg, strlen(msg));
+  _exit(1);
+}
+
+void OverflowPooledStack() {
+  // The overflow leaves the fiber no stack to run a handler on.
+  static char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof(alt_stack);
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa {};
+  sa.sa_sigaction = ReportOverflowFault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigaction(SIGSEGV, &sa, nullptr);
+  RunOnPooledStack([] {
+    int top = 0;
+    g_deep_stack_top = (reinterpret_cast<uintptr_t>(&top) + 4095) & ~uintptr_t{4095};
+    Recurse(640);  // At least 640 KiB.
+  });
+}
+
+TEST(SimulationDeathTest, OverflowFaultsOnGuardPageOfPooledStack) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  bool done = false;
+  RunOnPooledStack([&] { done = Recurse(256) != -1; });  // Under 512 KiB.
+  EXPECT_TRUE(done);
+  EXPECT_DEATH(OverflowPooledStack(), "fault on guard page");
+}
+
+TEST(Simulation, FloatingPointControlIsSavedPerFiber) {
+  // fesetround sets both the x87 control word (read back by fegetround) and
+  // MXCSR (which rounds SSE arithmetic); a switch must carry both.
+  Simulation sim;
+  int a_x87 = -1, b_x87 = -1, event_x87 = -1;
+  unsigned a_sse = 0, b_sse = 0, event_sse = 0;
+  sim.Spawn("a", [&] {
+    fesetround(FE_UPWARD);
+    sim.Sleep(Microseconds(10));
+    a_x87 = fegetround();
+    a_sse = _MM_GET_ROUNDING_MODE();
+  });
+  sim.Spawn("b", [&] {
+    sim.Sleep(Microseconds(5));
+    b_x87 = fegetround();
+    b_sse = _MM_GET_ROUNDING_MODE();
+  });
+  sim.Schedule(Microseconds(5), [&] {
+    event_x87 = fegetround();
+    event_sse = _MM_GET_ROUNDING_MODE();
+  });
+  sim.Run();
+  const int scheduler_x87 = fegetround();
+  fesetround(FE_TONEAREST);
+  EXPECT_EQ(a_x87, FE_UPWARD);
+  EXPECT_EQ(a_sse, static_cast<unsigned>(_MM_ROUND_UP));
+  EXPECT_EQ(b_x87, FE_TONEAREST);
+  EXPECT_EQ(b_sse, static_cast<unsigned>(_MM_ROUND_NEAREST));
+  EXPECT_EQ(event_x87, FE_TONEAREST);
+  EXPECT_EQ(event_sse, static_cast<unsigned>(_MM_ROUND_NEAREST));
+  EXPECT_EQ(scheduler_x87, FE_TONEAREST);
 }
 
 TEST(Rng, DeterministicAndRoughlyUniform) {
