@@ -10,15 +10,19 @@
 #   4. benchmark regression snapshot (scale table) + perf-gate: the fresh
 #      txn_per_s numbers must not regress beyond tolerance against the
 #      checked-in BENCH_scale.json baseline
-#   5. chaos reliability scenarios with the runtime protocol auditor AND the
+#   5. benchmark self-test (perfbench/selftest.py): the repository benchmark
+#      repeats itself, its traced and checked runs agree with the plain run,
+#      its correctness checks catch seeded damage, and every metric carries
+#      a unit and a clock
+#   6. chaos reliability scenarios with the runtime protocol auditor AND the
 #      outcome-level serializability certifier observing (--audit --serial:
 #      any 2PL / 2PC / shadow-page / serializability / recoverability /
 #      external-consistency / shared-state-race violation fails the run),
 #      plus a negative control that a seeded write-skew cycle fails the run
-#   6. UndefinedBehaviorSanitizer build + full test suite
-#   7. AddressSanitizer build + full test suite
-#   8. ThreadSanitizer build + full test suite
-# Stages 6-8 run the same fiber scheduler as the release build, with every
+#   7. UndefinedBehaviorSanitizer build + full test suite
+#   8. AddressSanitizer build + full test suite
+#   9. ThreadSanitizer build + full test suite
+# Stages 7-9 run the same fiber scheduler as the release build, with every
 # switch announced to ASan/TSan through the sanitizer fiber API.
 #
 # Build trees (build/, build-ubsan/, build-asan/, build-tsan/) are reused
@@ -100,6 +104,11 @@ cat build/BENCH_scale.json
 
 echo "=== perf-gate (txn_per_s vs checked-in baseline) ==="
 python3 scripts/perf_gate.py BENCH_scale.json build/BENCH_scale.json
+
+echo "=== benchmark self-test (perfbench) ==="
+# Builds locus_perfbench in .bench_build/ and runs short passes of it
+# (about half a minute).
+python3 perfbench/selftest.py
 
 echo "=== chaos reliability under the protocol auditor + certifier ==="
 ./build/bench/chaos_reliability --audit --serial --json=build/BENCH_chaos.json \

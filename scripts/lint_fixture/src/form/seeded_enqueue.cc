@@ -1,6 +1,6 @@
 // Seeded obligation-pairing violation (formation flush registration). NOT
 // compiled — CI asserts the analyzer flags the enqueue that can return with
-// neither an immediate Flush nor a timer_armed arming, and stays quiet on
+// neither an immediate Flush nor a flush_timer arming, and stays quiet on
 // the properly armed shape.
 
 namespace lint_fixture {
@@ -17,10 +17,15 @@ struct ItemList {
   void push_back(FormItem) {}
 };
 
+struct EventId {
+  explicit operator bool() const { return armed; }
+  bool armed = false;
+};
+
 struct DestQueue {
   ItemList items;
   int bytes = 0;
-  bool timer_armed = false;
+  EventId flush_timer;
 };
 
 class FakeFormationQueue {
@@ -41,13 +46,14 @@ class FakeFormationQueue {
       Flush(q);
       return;
     }
-    if (!q.timer_armed) {
-      q.timer_armed = true;
+    if (!q.flush_timer) {
+      q.flush_timer = ScheduleFlush();
     }
   }
 
  private:
   void Flush(DestQueue&) {}
+  EventId ScheduleFlush() { return EventId{true}; }
 };
 
 }  // namespace lint_fixture

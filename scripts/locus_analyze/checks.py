@@ -804,7 +804,7 @@ class Analyzer:
                     f"ServeAbortTxnAtSite / RouteAbort) for its failure path")
 
     # (c) formation enqueue: every path from items.push_back to exit must
-    # register a flush (immediate Flush or timer_armed arming).
+    # register a flush (immediate Flush or flush_timer arming).
 
     def _check_enqueue_flush(self, fn, graph, lexed, rel):
         def is_enqueue(node):
@@ -813,7 +813,7 @@ class Analyzer:
 
         def is_protector(node):
             vals = [t.value for t in node.tokens]
-            return "timer_armed" in vals or \
+            return "flush_timer" in vals or \
                 self._node_has_call(node, {"Flush"})
 
         protectors = {n.id for n in graph.nodes if is_protector(n)}
@@ -829,7 +829,7 @@ class Analyzer:
             self.report(rel, node.line, "obligation pairing",
                         "batch enqueue (items.push_back) can reach return "
                         "without registering a flush (Flush(...) or "
-                        "timer_armed arming); the batch would sit forever")
+                        "flush_timer arming); the batch would sit forever")
 
     # (d) RPC wait arming: a Wait() in src/net must be dominated by a
     # kRpcTimeout arming, or a lost reply hangs the caller forever.

@@ -106,15 +106,11 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
     Flush(to);
     return;
   }
-  if (!q.timer_armed) {
-    q.timer_armed = true;
-    const uint64_t gen = q.generation;
+  if (!q.flush_timer) {
+    // A size flush or a crash cancels this timer, so when it fires the queue
+    // still holds what armed it.
     EventInfo info{EventTag::kFormFlush, site_, to, -1};
-    net_->simulation().Schedule(options_.flush_delay, info, [this, to, gen] {
-      DestQueue& dq = queues_[to];
-      if (dq.generation != gen || dq.items.empty()) {
-        return;  // A size flush or crash already serviced this queue.
-      }
+    q.flush_timer = net_->simulation().Schedule(options_.flush_delay, info, [this, to] {
       stats_->Add(flushes_deadline_id_);
       Flush(to);
     });
@@ -123,8 +119,8 @@ void FormationQueue::Enqueue(SiteId to, FormItem item) {
 
 void FormationQueue::Flush(SiteId to) {
   DestQueue& q = queues_[to];
-  q.generation++;
-  q.timer_armed = false;
+  net_->simulation().Cancel(q.flush_timer);
+  q.flush_timer = EventId{};
   if (q.items.empty()) {
     return;
   }
@@ -162,8 +158,8 @@ void FormationQueue::OnCrash() {
   for (auto& [to, q] : queues_) {
     q.items.clear();
     q.bytes = 0;
-    q.timer_armed = false;
-    q.generation++;  // Any armed timer finds a generation mismatch.
+    net_->simulation().Cancel(q.flush_timer);
+    q.flush_timer = EventId{};
   }
 }
 

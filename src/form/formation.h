@@ -102,7 +102,7 @@ class FormationQueue {
                                         SimTime timeout = Network::kDefaultRpcTimeout);
 
   // Site crash: queued messages die with the kernel's volatile state, and
-  // armed flush timers are invalidated.
+  // armed flush timers are cancelled.
   void OnCrash();
 
   // Drain-watchdog body: describes queues left non-empty when the event
@@ -125,9 +125,8 @@ class FormationQueue {
  private:
   struct DestQueue {
     std::vector<FormItem> items;
-    int32_t bytes = 0;        // Sum of queued items' wire sizes.
-    bool timer_armed = false;
-    uint64_t generation = 0;  // Bumped per flush/crash; stale timers no-op.
+    int32_t bytes = 0;    // Sum of queued items' wire sizes.
+    EventId flush_timer;  // The armed deadline flush; null when none.
   };
 
   void Enqueue(SiteId to, FormItem item);

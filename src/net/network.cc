@@ -133,16 +133,12 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
                    Deliver(from, to, std::move(request), responder);
                  });
   EventInfo timeout_info{EventTag::kRpcTimeout, from, to, static_cast<int32_t>(id)};
-  sim_->Schedule(timeout, timeout_info, [this, id] {
+  call.timeout = sim_->Schedule(timeout, timeout_info, [this, id] {
     CompleteCall(id, RpcResult{false, {}});
   });
 
   call.wake->Wait();
-  auto it = pending_calls_.find(id);
-  assert(it != pending_calls_.end() && it->second.done);
-  RpcResult result = std::move(it->second.result);
-  pending_calls_.erase(it);
-  return result;
+  return TakeResult(id);
 }
 
 void Network::Deliver(SiteId from, SiteId to, Message msg, Responder responder) {
@@ -191,14 +187,19 @@ RpcResult Network::WaitCall(uint64_t call_id, SimTime timeout) {
   if (!prepared->second.done) {
     EventInfo timeout_info{EventTag::kRpcTimeout, prepared->second.from,
                            prepared->second.to, static_cast<int32_t>(call_id)};
-    sim_->Schedule(timeout, timeout_info, [this, call_id] {
+    prepared->second.timeout = sim_->Schedule(timeout, timeout_info, [this, call_id] {
       CompleteCall(call_id, RpcResult{false, {}});
     });
     prepared->second.wake->Wait();
   }
+  return TakeResult(call_id);
+}
+
+RpcResult Network::TakeResult(uint64_t call_id) {
   auto it = pending_calls_.find(call_id);
   assert(it != pending_calls_.end() && it->second.done);
   RpcResult result = std::move(it->second.result);
+  sim_->Cancel(it->second.timeout);
   pending_calls_.erase(it);
   return result;
 }

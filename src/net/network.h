@@ -215,12 +215,17 @@ class Network {
     SiteId to;
     SimProcess* caller;
     std::unique_ptr<WaitQueue> wake;
+    // The armed timeout; cancelled when the call is erased, so a finished
+    // call leaves nothing behind in the event queue.
+    EventId timeout;
     bool done = false;
     RpcResult result;
   };
 
   void Deliver(SiteId from, SiteId to, Message msg, Responder responder);
   void CompleteCall(uint64_t call_id, RpcResult result);
+  // Erases a completed call, cancelling its timeout, and returns its result.
+  RpcResult TakeResult(uint64_t call_id);
   void NotifyTopologyChanged();
   // Fails outstanding calls whose endpoints can no longer communicate.
   void FailUnreachableCalls();

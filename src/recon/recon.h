@@ -157,11 +157,27 @@ class ReintegrationManager {
  private:
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
   void SpawnReconcile(const std::string& path);
+  // Every replica install, propagation or catch-up, writes as the one owner
+  // {kReplicatorPid, kNoTxn}, so two installs of a file at once would share a
+  // FileStore writer: the first to commit would install the other's
+  // half-written pages and free the writer it is still filling. Installs of
+  // one file therefore run one at a time; BeginInstall parks until the file
+  // is free. There is no RAII guard on purpose: a crash clears the table
+  // (OnCrash), and the kernel is gone before teardown unwinds its processes.
+  void BeginInstall(const FileId& file);
+  void EndInstall(const FileId& file);
+  void ApplyPropagationLocked(FileStore* store, const ReplicaPropagateMsg& msg);
+  Err ApplyCatchupLocked(FileStore* store, const FileId& local_file,
+                         const ReplicaFetchReply& image);
 
   Env env_;
   // Paths with a reconcile in flight here (the sweep and the gap trigger may
   // race; the second caller backs off). Volatile: cleared on crash.
   std::set<std::string> reconciling_;
+  // Files with a replica install in progress, and the installs waiting for
+  // one of them to finish. Volatile: cleared on crash.
+  std::set<FileId> installing_;
+  WaitQueue install_done_;
 
   struct Ids {
     StatRegistry::StatId catchup_pages;

@@ -32,7 +32,8 @@ int32_t FetchWireBytes(const ReplicaFetchReply& reply, int32_t page_size) {
   return total;
 }
 
-ReintegrationManager::ReintegrationManager(Env env) : env_(std::move(env)) {
+ReintegrationManager::ReintegrationManager(Env env)
+    : env_(std::move(env)), install_done_(env_.sim) {
   ids_.catchup_pages = env_.stats->Intern("recon.catchup_pages");
   ids_.stale_reads_blocked = env_.stats->Intern("recon.stale_reads_blocked");
   ids_.reintegrations = env_.stats->Intern("recon.reintegrations");
@@ -87,11 +88,30 @@ ReplicaFetchReply ReintegrationManager::ServeFetch(const ReplicaFetchRequest& re
   }
 }
 
+void ReintegrationManager::BeginInstall(const FileId& file) {
+  while (installing_.contains(file)) {
+    install_done_.Wait();
+  }
+  installing_.insert(file);
+}
+
+void ReintegrationManager::EndInstall(const FileId& file) {
+  installing_.erase(file);
+  install_done_.NotifyAll();
+}
+
 void ReintegrationManager::ApplyPropagation(const ReplicaPropagateMsg& msg) {
   FileStore* store = env_.store_for(msg.replica_file.volume);
   if (store == nullptr || !store->Exists(msg.replica_file)) {
     return;
   }
+  BeginInstall(msg.replica_file);
+  ApplyPropagationLocked(store, msg);
+  EndInstall(msg.replica_file);
+}
+
+void ReintegrationManager::ApplyPropagationLocked(FileStore* store,
+                                                  const ReplicaPropagateMsg& msg) {
   if (msg.commit_version != 0) {
     uint64_t local = store->CommitVersion(msg.replica_file);
     if (msg.commit_version <= local) {
@@ -132,6 +152,14 @@ Err ReintegrationManager::ApplyCatchup(const FileId& local_file,
   if (store == nullptr || !store->Exists(local_file)) {
     return Err::kNoEnt;
   }
+  BeginInstall(local_file);
+  Err err = ApplyCatchupLocked(store, local_file, image);
+  EndInstall(local_file);
+  return err;
+}
+
+Err ReintegrationManager::ApplyCatchupLocked(FileStore* store, const FileId& local_file,
+                                             const ReplicaFetchReply& image) {
   if (image.commit_version <= store->CommitVersion(local_file)) {
     // Duplicate catch-up delivery: already at (or past) this image.
     env_.stats->Add(ids_.duplicate_drops);
@@ -295,7 +323,11 @@ void ReintegrationManager::OnTopologyChange() {
   });
 }
 
-void ReintegrationManager::OnCrash() { reconciling_.clear(); }
+void ReintegrationManager::OnCrash() {
+  reconciling_.clear();
+  // Installers and waiters are kernel processes, killed with the site.
+  installing_.clear();
+}
 
 void ReintegrationManager::SpawnReconcile(const std::string& path) {
   if (reconciling_.contains(path)) {

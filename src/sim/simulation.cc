@@ -289,24 +289,123 @@ char* Simulation::AcquireStack() {
   return static_cast<char*>(base) + kGuardBytes;
 }
 
-void Simulation::Schedule(SimTime delay, std::function<void()> fn) {
-  Schedule(delay, EventInfo{}, std::move(fn));
+EventId Simulation::Schedule(SimTime delay, std::function<void()> fn) {
+  return Schedule(delay, EventInfo{}, std::move(fn));
 }
 
-void Simulation::Schedule(SimTime delay, EventInfo info, std::function<void()> fn) {
+EventId Simulation::Schedule(SimTime delay, EventInfo info, std::function<void()> fn) {
   assert(delay >= 0);
-  ScheduleAt(now_ + delay, info, std::move(fn));
+  return ScheduleAt(now_ + delay, info, std::move(fn));
 }
 
-void Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
-  ScheduleAt(when, EventInfo{}, std::move(fn));
+EventId Simulation::ScheduleAt(SimTime when, std::function<void()> fn) {
+  return ScheduleAt(when, EventInfo{}, std::move(fn));
 }
 
-void Simulation::ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn) {
+EventId Simulation::ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn) {
   assert(when >= now_);
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  EventSlot& s = slots_[slot];
   // policy-ok: the one sanctioned seq assignment; ties are later resolved
   // through PopNext's SchedulePolicy consultation.
-  events_.push(Event{when, next_seq_++, info, std::move(fn)});
+  s.seq = next_seq_++;
+  s.info = info;
+  s.fn = std::move(fn);
+  HeapPush(HeapNode{when, s.seq, slot});
+  return EventId{slot, s.seq};
+}
+
+void Simulation::Cancel(EventId id) {
+  if (id.slot >= slots_.size()) {
+    return;
+  }
+  EventSlot& s = slots_[id.slot];
+  if (s.heap_pos == EventSlot::kNotQueued || s.seq != id.seq) {
+    return;  // Already ran or cancelled; the slot may hold a newer event.
+  }
+  HeapRemoveAt(s.heap_pos);
+  ReleaseSlot(id.slot);
+}
+
+void Simulation::ReleaseSlot(uint32_t slot) {
+  slots_[slot].fn = nullptr;
+  free_slots_.push_back(slot);
+}
+
+namespace {
+// Children per heap node: a shallower tree than a binary heap, and the four
+// children of a node share a cache line or two.
+constexpr uint32_t kHeapArity = 4;
+}  // namespace
+
+void Simulation::HeapPush(const HeapNode& node) {
+  heap_.push_back(node);
+  SiftUp(static_cast<uint32_t>(heap_.size() - 1));
+}
+
+Simulation::HeapNode Simulation::HeapPopTop() {
+  HeapNode top = heap_.front();
+  HeapRemoveAt(0);
+  return top;
+}
+
+void Simulation::HeapRemoveAt(uint32_t pos) {
+  slots_[heap_[pos].slot].heap_pos = EventSlot::kNotQueued;
+  HeapNode last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) {
+    return;
+  }
+  Place(pos, last);
+  if (pos > 0 && Before(last, heap_[(pos - 1) / kHeapArity])) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
+  }
+}
+
+void Simulation::SiftUp(uint32_t pos) {
+  const HeapNode node = heap_[pos];
+  while (pos > 0) {
+    const uint32_t parent = (pos - 1) / kHeapArity;
+    if (!Before(node, heap_[parent])) {
+      break;
+    }
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, node);
+}
+
+void Simulation::SiftDown(uint32_t pos) {
+  const HeapNode node = heap_[pos];
+  const uint32_t size = static_cast<uint32_t>(heap_.size());
+  for (;;) {
+    const uint32_t first = pos * kHeapArity + 1;
+    if (first >= size) {
+      break;
+    }
+    const uint32_t end = std::min(first + kHeapArity, size);
+    uint32_t best = first;
+    for (uint32_t c = first + 1; c < end; ++c) {
+      if (Before(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Before(heap_[best], node)) {
+      break;
+    }
+    Place(pos, heap_[best]);
+    pos = best;
+  }
+  Place(pos, node);
 }
 
 SimProcess* Simulation::Spawn(std::string name, std::function<void()> body) {
@@ -366,10 +465,9 @@ bool IsNetworkTag(EventTag tag) {
 
 }  // namespace
 
-Simulation::Event Simulation::PopNext(SimTime limit) {
-  Event ev = std::move(const_cast<Event&>(events_.top()));
-  events_.pop();
-  if (policy_ == nullptr || events_.empty()) {
+Simulation::HeapNode Simulation::PopNext(SimTime limit) {
+  HeapNode ev = HeapPopTop();
+  if (policy_ == nullptr || heap_.empty()) {
     return ev;
   }
   // Two or more events at one virtual time form a tie. With a TieWindow,
@@ -381,43 +479,54 @@ Simulation::Event Simulation::PopNext(SimTime limit) {
   // events in (time, seq) order, one sitting inside the window also caps it.
   const SimTime window = policy_->TieWindow();
   const SimTime base = ev.time;
-  const bool widen = window > 0 && IsNetworkTag(ev.info.tag);
-  auto joins_tie = [&](const Event& top) {
+  const bool widen = window > 0 && IsNetworkTag(slots_[ev.slot].info.tag);
+  auto joins_tie = [&](const HeapNode& top) {
     if (top.time == base) {
       return true;
     }
-    return widen && IsNetworkTag(top.info.tag) && top.time <= base + window &&
+    return widen && IsNetworkTag(slots_[top.slot].info.tag) && top.time <= base + window &&
            top.time <= limit;
   };
-  if (!joins_tie(events_.top())) {
+  if (!joins_tie(heap_.front())) {
     return ev;
   }
-  std::vector<Event> ties;
-  ties.push_back(std::move(ev));
-  while (!events_.empty() && joins_tie(events_.top())) {
-    ties.push_back(std::move(const_cast<Event&>(events_.top())));
-    events_.pop();
+  std::vector<HeapNode> ties;
+  ties.push_back(ev);
+  while (!heap_.empty() && joins_tie(heap_.front())) {
+    ties.push_back(HeapPopTop());
   }
   std::vector<EventInfo> options;
   options.reserve(ties.size());
-  for (const Event& t : ties) {
-    options.push_back(t.info);
+  for (const HeapNode& t : ties) {
+    options.push_back(slots_[t.slot].info);
   }
   size_t pick = policy_->PickNext(ties.front().time, options);
   if (pick >= ties.size()) {
     pick = 0;
   }
-  Event chosen = std::move(ties[pick]);
+  // The events not picked go back as the same nodes (slot, seq and time
+  // unchanged), so their EventIds still cancel them.
   for (size_t i = 0; i < ties.size(); ++i) {
     if (i != pick) {
-      events_.push(std::move(ties[i]));
+      HeapPush(ties[i]);
     }
   }
-  return chosen;
+  return ties[pick];
+}
+
+void Simulation::RunEvent(const HeapNode& ev) {
+  // A policy with a TieWindow may run a delayed event first; the passed-over
+  // events then execute at the later now_, so only advance time forward.
+  now_ = std::max(now_, ev.time);
+  // Moved out first: the callback may schedule events, which can reuse this
+  // slot or grow (and move) slots_.
+  std::function<void()> fn = std::move(slots_[ev.slot].fn);
+  ReleaseSlot(ev.slot);
+  fn();
 }
 
 void Simulation::CheckDrainWatchdog() {
-  if (drain_watchdog_ == DrainWatchdog::kOff || !events_.empty() || stop_requested_) {
+  if (drain_watchdog_ == DrainWatchdog::kOff || !heap_.empty() || stop_requested_) {
     return;
   }
   int blocked = blocked_process_count();
@@ -452,12 +561,8 @@ void Simulation::CheckDrainWatchdog() {
 
 void Simulation::Run() {
   stop_requested_ = false;
-  while (!events_.empty() && !stop_requested_) {
-    Event ev = PopNext(std::numeric_limits<SimTime>::max());
-    // A policy with a TieWindow may run a delayed event first; the passed-over
-    // events then execute at the later now_, so only advance time forward.
-    now_ = std::max(now_, ev.time);
-    ev.fn();
+  while (!heap_.empty() && !stop_requested_) {
+    RunEvent(PopNext(std::numeric_limits<SimTime>::max()));
   }
   CheckDrainWatchdog();
 }
@@ -466,8 +571,8 @@ void Simulation::RunFor(SimTime duration) {
   const SimTime deadline = now_ + duration;
   stop_requested_ = false;
   int64_t spin = 0;
-  while (!events_.empty() && !stop_requested_ && events_.top().time <= deadline) {
-    Event ev = PopNext(deadline);
+  while (!heap_.empty() && !stop_requested_ && heap_.front().time <= deadline) {
+    HeapNode ev = PopNext(deadline);
     if (ev.time == now_) {
       if (++spin > 2000000) {
         fprintf(stderr, "sim: suspected zero-delay event loop at t=%lld us\n",
@@ -477,8 +582,7 @@ void Simulation::RunFor(SimTime duration) {
     } else {
       spin = 0;
     }
-    now_ = std::max(now_, ev.time);
-    ev.fn();
+    RunEvent(ev);
   }
   if (now_ < deadline) {
     now_ = deadline;

@@ -17,6 +17,17 @@
 // instead of silently corrupting a neighbouring stack. ASan and TSan builds
 // run this same scheduler, with each switch announced through the sanitizer
 // fiber API.
+//
+// The event queue holds only live events. It is an indexed 4-ary heap of
+// small (time, seq, slot) nodes; each event's callback and tag stay put in a
+// slot array while the nodes sift, and every slot records where its node
+// sits in the heap. That index is what makes an event cancellable: Schedule
+// returns an EventId, and Cancel removes the event in O(log n). A timer that
+// has become pointless (an RPC timeout whose reply has arrived, a formation
+// flush a size flush has pre-empted) is cancelled rather than left to run as
+// a no-op, so the heap stays as small as the set of things that can still
+// happen, and Run returns as soon as nothing can. Cancelling never reorders
+// what remains: live events still run in (time, seq) order.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
@@ -25,7 +36,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -36,6 +46,19 @@ namespace locus {
 
 class Simulation;
 class SimProcess;
+
+// Handle to a scheduled event, returned by Simulation::Schedule/ScheduleAt.
+// It names the event's slot and its seq (unique per event), so a handle can
+// safely outlive its event: once the event has run or been cancelled, and
+// even after its slot has been reused, Cancel(handle) does nothing. A
+// default-constructed handle names no event.
+struct EventId {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  uint32_t slot = kNoSlot;
+  uint64_t seq = 0;
+
+  explicit operator bool() const { return slot != kNoSlot; }
+};
 
 // ---------------------------------------------------------------------------
 // Decision-point interface (schedule-space exploration; see src/mc).
@@ -236,11 +259,17 @@ class Simulation {
 
   // Schedules `fn` to run in event context after `delay` of virtual time.
   // The EventInfo overloads tag the event so an installed SchedulePolicy can
-  // tell what it is deciding between at a same-time tie.
-  void Schedule(SimTime delay, std::function<void()> fn);
-  void Schedule(SimTime delay, EventInfo info, std::function<void()> fn);
-  void ScheduleAt(SimTime when, std::function<void()> fn);
-  void ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn);
+  // tell what it is deciding between at a same-time tie. The returned handle
+  // may be passed to Cancel; callers with no use for it drop it.
+  EventId Schedule(SimTime delay, std::function<void()> fn);
+  EventId Schedule(SimTime delay, EventInfo info, std::function<void()> fn);
+  EventId ScheduleAt(SimTime when, std::function<void()> fn);
+  EventId ScheduleAt(SimTime when, EventInfo info, std::function<void()> fn);
+  // Removes a pending event so it never runs, in O(log n). A no-op for an
+  // event that has already run or been cancelled, and for a null handle.
+  void Cancel(EventId id);
+  // Events still waiting to run (cancelled ones are gone, not counted).
+  size_t pending_event_count() const { return heap_.size(); }
 
   // --- Decision points (schedule-space exploration; src/mc) ---
   // The policy is not owned; it must outlive its installation. Installing
@@ -306,17 +335,27 @@ class Simulation {
   friend class SimProcess;
   friend class WaitQueue;
 
-  struct Event {
+  // A queued event's heap entry: just the ordering key and its slot.
+  struct HeapNode {
     SimTime time;
     uint64_t seq;
+    uint32_t slot;
+  };
+  // What an event carries, parked in slots_ while its node moves in heap_.
+  // heap_pos is the node's index in heap_, or kNotQueued when the slot is
+  // free (or its event has been popped).
+  struct EventSlot {
+    static constexpr uint32_t kNotQueued = UINT32_MAX;
+    uint64_t seq = 0;
+    uint32_t heap_pos = kNotQueued;
     EventInfo info;
     std::function<void()> fn;
-    bool operator>(const Event& o) const {
-      // policy-ok: the one sanctioned seq tie-break — PopNext routes ties
-      // through the installed SchedulePolicy before this order applies.
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
   };
+  static bool Before(const HeapNode& a, const HeapNode& b) {
+    // policy-ok: the one sanctioned seq tie-break — PopNext routes ties
+    // through the installed SchedulePolicy before this order applies.
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
 
   // Marks `p` runnable at the current time (scheduler will hand it control).
   void MakeReady(SimProcess* p);
@@ -325,7 +364,23 @@ class Simulation {
   // order when none is installed or it returns 0). When the policy declares a
   // TieWindow, network events within the window of an earliest network event
   // also join the tie (but never past `limit`, so RunFor keeps its deadline).
-  Event PopNext(SimTime limit);
+  // The popped node's slot still holds the callback; RunEvent consumes it.
+  HeapNode PopNext(SimTime limit);
+  // Advances the clock to the popped event, frees its slot and runs it.
+  void RunEvent(const HeapNode& ev);
+  // Returns a slot to the free list, dropping its callback.
+  void ReleaseSlot(uint32_t slot);
+
+  // Heap primitives; each keeps slots_[].heap_pos in step with heap_.
+  void HeapPush(const HeapNode& node);
+  HeapNode HeapPopTop();
+  void HeapRemoveAt(uint32_t pos);
+  void SiftUp(uint32_t pos);
+  void SiftDown(uint32_t pos);
+  void Place(uint32_t pos, const HeapNode& node) {
+    heap_[pos] = node;
+    slots_[node.slot].heap_pos = pos;
+  }
   // Drain-time lost-wakeup check shared by Run and RunFor.
   void CheckDrainWatchdog();
 
@@ -338,7 +393,9 @@ class Simulation {
   DrainWatchdog drain_watchdog_ = DrainWatchdog::kOff;
   bool drain_watchdog_tripped_ = false;
   std::vector<DrainCheck> drain_checks_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
+  std::vector<HeapNode> heap_;
+  std::vector<EventSlot> slots_;
+  std::vector<uint32_t> free_slots_;
   std::vector<std::unique_ptr<SimProcess>> processes_;
 
   // Fiber stacks, each just above its guard page. Finished processes push

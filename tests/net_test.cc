@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/form/formation.h"
+
 namespace locus {
 namespace {
 
@@ -103,9 +105,105 @@ TEST_F(NetworkTest, DuplicateRepliesIgnored) {
 TEST_F(NetworkTest, RpcTimesOutWithoutReply) {
   net_.RegisterHandler(b_, 4, [&](SiteId, const Message&, Responder) {});
   RpcResult result{true, {}};
-  sim_.Spawn("caller", [&] { result = net_.Call(a_, b_, Msg(4, 0), Milliseconds(500)); });
+  SimTime returned_at = -1;
+  sim_.Spawn("caller", [&] {
+    result = net_.Call(a_, b_, Msg(4, 0), Milliseconds(500));
+    returned_at = sim_.Now();
+  });
   sim_.Run();
   EXPECT_FALSE(result.ok);
+  EXPECT_EQ(returned_at, Milliseconds(500));  // Exactly at its timeout.
+  EXPECT_EQ(sim_.Now(), Milliseconds(500));
+}
+
+TEST_F(NetworkTest, CompletedCallsLeaveNoTimeoutsBehind) {
+  // Each reply cancels its call's 600 s timeout: once the last reply is in,
+  // nothing is left to run and Run returns at that reply's time.
+  net_.RegisterHandler(b_, 2, [&](SiteId, const Message& m, Responder r) { r(m); });
+  int ok = 0;
+  size_t pending_after_last = 1;
+  SimTime last_reply = -1;
+  sim_.Spawn("caller", [&] {
+    for (int i = 0; i < 1000; ++i) {
+      ok += net_.Call(a_, b_, Msg(2, i), Seconds(600)).ok ? 1 : 0;
+    }
+    last_reply = sim_.Now();
+    pending_after_last = sim_.pending_event_count();
+  });
+  sim_.Run();
+  EXPECT_EQ(ok, 1000);
+  EXPECT_EQ(last_reply, 1000 * 2 * net_.OneWayLatency(64));
+  EXPECT_EQ(pending_after_last, 0u);
+  EXPECT_EQ(sim_.Now(), last_reply);
+  EXPECT_EQ(sim_.pending_event_count(), 0u);
+}
+
+TEST_F(NetworkTest, SplitCallsAndCall2CancelTheirTimeouts) {
+  // Formation at both ends: requests and replies ride batch envelopes, the
+  // calls go through PrepareCall/WaitCall, and a reply can land before its
+  // WaitCall (the second call of a pair), when no timeout is armed at all.
+  FormationQueue::Options on;
+  on.enabled = true;
+  FormationQueue form_a(&net_, &net_.stats(), a_, on);
+  FormationQueue form_b(&net_, &net_.stats(), b_, on);
+  form_a.Start();
+  form_b.Start();
+  net_.RegisterHandler(b_, 2, [&](SiteId, const Message& m, Responder r) { r(m); });
+  int ok = 0;
+  SimTime done_at = -1;
+  sim_.Spawn("caller", [&] {
+    for (int i = 0; i < 50; ++i) {
+      uint64_t first = form_a.BeginCall(b_, Msg(2, i));
+      uint64_t second = form_a.BeginCall(b_, Msg(2, -i));
+      ok += form_a.FinishCall(first, Seconds(600)).ok ? 1 : 0;
+      ok += form_a.FinishCall(second, Seconds(600)).ok ? 1 : 0;
+      auto [x, y] = form_a.Call2(b_, Msg(2, i), Msg(2, -i), Seconds(600));
+      ok += (x.ok ? 1 : 0) + (y.ok ? 1 : 0);
+      ok += form_a.Call(b_, Msg(2, i), Seconds(600)).ok ? 1 : 0;
+    }
+    done_at = sim_.Now();
+  });
+  sim_.Run();
+  EXPECT_EQ(ok, 250);
+  EXPECT_GT(done_at, 0);
+  EXPECT_LT(done_at, Seconds(10));
+  EXPECT_EQ(sim_.Now(), done_at);
+  EXPECT_EQ(sim_.pending_event_count(), 0u);
+}
+
+TEST_F(NetworkTest, FormationCancelsItsFlushTimerOnSizeFlushAndCrash) {
+  FormationQueue::Options on;
+  on.enabled = true;
+  on.max_batch_bytes = 128;
+  FormationQueue form_a(&net_, &net_.stats(), a_, on);
+  FormationQueue form_b(&net_, &net_.stats(), b_, FormationQueue::Options{});
+  form_a.Start();
+  form_b.Start();  // Unpacks the envelopes at b.
+  int delivered = 0;
+  net_.RegisterHandler(b_, 2, [&](SiteId, const Message&, Responder) { ++delivered; });
+  // The first message arms the deadline flush; the second fills the batch,
+  // whose size flush cancels that timer. Left is the envelope's delivery.
+  form_a.Send(b_, Msg(2, 1));
+  EXPECT_EQ(sim_.pending_event_count(), 1u);
+  form_a.Send(b_, Msg(2, 2));
+  EXPECT_EQ(sim_.pending_event_count(), 1u);
+  sim_.Run();
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(sim_.Now(), net_.OneWayLatency(kFormEnvelopeBytes + 128));
+  EXPECT_EQ(net_.stats().Get("form.flushes_size"), 1);
+  EXPECT_EQ(net_.stats().Get("form.flushes_deadline"), 0);
+  // A crash drops the queued message and cancels its timer.
+  form_a.Send(b_, Msg(2, 3));
+  EXPECT_EQ(sim_.pending_event_count(), 1u);
+  form_a.OnCrash();
+  EXPECT_EQ(sim_.pending_event_count(), 0u);
+  // A deadline flush still sends a lone message after the delay.
+  const SimTime sent_at = sim_.Now();
+  form_a.Send(b_, Msg(2, 4));
+  sim_.Run();
+  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(sim_.Now(), sent_at + on.flush_delay + net_.OneWayLatency(kFormEnvelopeBytes + 64));
+  EXPECT_EQ(net_.stats().Get("form.flushes_deadline"), 1);
 }
 
 TEST_F(NetworkTest, CallToCrashedSiteFailsFast) {

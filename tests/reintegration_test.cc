@@ -19,6 +19,7 @@ std::string Text(const std::vector<uint8_t>& b) { return {b.begin(), b.end()}; }
 class ReintegrationTest : public ::testing::Test {
  protected:
   ReintegrationTest() : system_(3) {}
+  explicit ReintegrationTest(SystemOptions options) : system_(3, options) {}
 
   // Creates `path` with three replicas (first at site 0) and commits
   // "version-1-bytes" through the close-commit path.
@@ -292,6 +293,92 @@ TEST_F(ReintegrationTest, PropagationGapTriggersSelfQuarantineAndCatchup) {
   // The spawned reconcile found the peers at the real (lower) ordinal with a
   // current witness, so the quarantine lifted without inventing data.
   EXPECT_FALSE(system_.catalog().ReplicaAt("/f", 2)->stale);
+  EXPECT_EQ(system_.sim().blocked_process_count(), 0);
+}
+
+// A buffer pool of a few pages: nearly every page a replica install touches
+// is a disk read, so an install spends most of its time parked in Write.
+class TinyPoolReintegrationTest : public ReintegrationTest {
+ protected:
+  TinyPoolReintegrationTest() : ReintegrationTest(SystemOptions{.pool_pages = 4}) {}
+};
+
+// Replica installs all write as one owner, {kReplicatorPid, kNoTxn}. A
+// propagation that arrives while a catch-up of the same file is parked inside
+// FileStore::Write must wait for the catch-up to commit: sharing the writer,
+// it would otherwise commit the catch-up's half-written pages and free the
+// writer the catch-up is still filling. Once the catch-up is in, the
+// propagation carries an ordinal already installed and is dropped.
+TEST_F(TinyPoolReintegrationTest, PropagationWaitsForCatchupParkedMidWrite) {
+  const int32_t page = system_.kernel(0).StoreFor(0)->page_size();
+  const std::string v1(16 * page, 'a');
+  const std::string v2(16 * page, 'b');
+  system_.Spawn(0, "mk", [&](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/big", /*replication=*/3), Err::kOk);
+    auto fd = sys.Open("/big", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, v1), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system_.RunFor(Seconds(10));
+  system_.Partition({{0, 1}, {2}});
+  system_.RunFor(Seconds(1));
+  system_.Spawn(0, "wr", [&](Syscalls& sys) {
+    auto fd = sys.Open("/big", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, v2), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system_.RunFor(Seconds(10));
+
+  const Replica* primary = system_.catalog().ReplicaAt("/big", 0);
+  const Replica* behind = system_.catalog().ReplicaAt("/big", 2);
+  ASSERT_NE(primary, nullptr);
+  ASSERT_NE(behind, nullptr);
+  ASSERT_TRUE(behind->stale);
+  const FileId primary_file = primary->file;
+  const FileId behind_file = behind->file;
+  FileStore* pstore = system_.kernel(0).StoreFor(primary_file.volume);
+  FileStore* store = system_.kernel(2).StoreFor(behind_file.volume);
+  const uint64_t target = pstore->CommitVersion(primary_file);
+  ASSERT_EQ(store->CommitVersion(behind_file) + 1, target);
+  const int64_t drops_before = system_.stats().Get("recon.duplicate_propagations_dropped");
+
+  SimTime catchup_done = -1;
+  SimTime propagation_started = -1;
+  SimTime propagation_done = -1;
+  system_.Spawn(2, "catchup", [&](Syscalls& sys) {
+    ReplicaFetchReply image =
+        sys.system().kernel(0).recon().ServeFetch(ReplicaFetchRequest{primary_file});
+    ASSERT_EQ(image.err, Err::kOk);
+    ASSERT_EQ(image.pages.size(), 16u);
+    EXPECT_EQ(sys.system().kernel(2).recon().ApplyCatchup(behind_file, image), Err::kOk);
+    catchup_done = sys.system().sim().Now();
+  });
+  system_.Spawn(2, "propagate", [&](Syscalls& sys) {
+    // Wait until the catch-up has a writer open, i.e. it is parked inside
+    // one of its sixteen Writes.
+    const LockOwner replicator{kReplicatorPid, kNoTxn};
+    while (store->FilesWithUncommitted(replicator).empty()) {
+      sys.system().sim().Sleep(Microseconds(1));
+    }
+    propagation_started = sys.system().sim().Now();
+    ReplicaPropagateMsg msg;
+    msg.replica_file = behind_file;
+    msg.new_size = pstore->CommittedSize(primary_file);
+    msg.commit_version = target;
+    msg.pages.push_back({7, pstore->CommittedPageImage(primary_file, 7)});
+    sys.system().kernel(2).recon().ApplyPropagation(msg);
+    propagation_done = sys.system().sim().Now();
+  });
+  system_.RunFor(Seconds(10));
+
+  ASSERT_GT(propagation_started, 0);
+  ASSERT_GT(catchup_done, propagation_started);
+  EXPECT_GE(propagation_done, catchup_done);
+  EXPECT_EQ(store->CommitVersion(behind_file), target);
+  EXPECT_EQ(system_.stats().Get("recon.duplicate_propagations_dropped"), drops_before + 1);
+  EXPECT_EQ(Text(CommittedBytes(*system_.catalog().ReplicaAt("/big", 2))), v2);
   EXPECT_EQ(system_.sim().blocked_process_count(), 0);
 }
 

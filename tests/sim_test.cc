@@ -9,6 +9,7 @@
 #include <unistd.h>
 #include <xmmintrin.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cstdint>
 #include <cstdlib>
@@ -16,7 +17,9 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -174,6 +177,172 @@ TEST(Simulation, RunForStopsAtDeadline) {
   sim.RunFor(Milliseconds(55));
   EXPECT_EQ(ticks, 5);
   EXPECT_EQ(sim.Now(), Milliseconds(55));
+}
+
+TEST(Simulation, CancelledEventNeverRuns) {
+  Simulation sim;
+  std::vector<int> order;
+  EventId timeout = sim.Schedule(Seconds(600), [&] { order.push_back(600); });
+  sim.Schedule(Milliseconds(10), [&] { order.push_back(1); });
+  EventId doomed = sim.Schedule(Milliseconds(20), [&] { order.push_back(2); });
+  sim.Schedule(Milliseconds(30), [&] {
+    order.push_back(3);
+    sim.Cancel(timeout);  // From event context, as a reply cancels its timeout.
+  });
+  EXPECT_EQ(sim.pending_event_count(), 4u);
+  sim.Cancel(doomed);
+  EXPECT_EQ(sim.pending_event_count(), 3u);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  // Run returns at the last live event, not at the cancelled timer behind it.
+  EXPECT_EQ(sim.Now(), Milliseconds(30));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+}
+
+TEST(Simulation, CancelAfterRunIsANoOp) {
+  Simulation sim;
+  int ran = 0;
+  EventId id = sim.Schedule(Milliseconds(1), [&] { ++ran; });
+  // Cancelling itself from inside its own callback is a no-op too.
+  EventId self;
+  self = sim.Schedule(Milliseconds(2), [&] {
+    ++ran;
+    sim.Cancel(self);
+  });
+  sim.Run();
+  EXPECT_EQ(ran, 2);
+  sim.Cancel(id);
+  sim.Cancel(id);  // Twice: still nothing to do.
+  sim.Cancel(EventId{});
+  EXPECT_EQ(sim.pending_event_count(), 0u);
+  sim.Schedule(Milliseconds(1), [&] { ++ran; });
+  sim.Run();
+  EXPECT_EQ(ran, 3);
+}
+
+TEST(Simulation, StaleHandleDoesNotCancelTheEventReusingItsSlot) {
+  Simulation sim;
+  int ran = 0;
+  EventId first = sim.Schedule(Milliseconds(1), [&] { ++ran; });
+  sim.Cancel(first);
+  EventId second = sim.Schedule(Milliseconds(2), [&] { ++ran; });
+  ASSERT_EQ(second.slot, first.slot) << "the freed slot should be reused";
+  ASSERT_NE(second.seq, first.seq);
+  sim.Cancel(first);  // Names the old event, not the one now in its slot.
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  sim.Run();
+  EXPECT_EQ(ran, 1);
+
+  // The same after the earlier event ran rather than being cancelled.
+  EventId ran_already = sim.Schedule(Milliseconds(1), [&] { ++ran; });
+  sim.Run();
+  EventId reuser = sim.Schedule(Milliseconds(1), [&] { ++ran; });
+  ASSERT_EQ(reuser.slot, ran_already.slot);
+  sim.Cancel(ran_already);
+  sim.Run();
+  EXPECT_EQ(ran, 3);
+}
+
+// Drives the queue with random schedules and cancels from inside event
+// callbacks, and checks every step against a reference ordered set of
+// (time, seq): each event that runs must be the reference's first, at its
+// own time, and the queue's size must match the reference's.
+TEST(Simulation, RandomScheduleCancelMatchesReferenceOrder) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Simulation sim;
+    Rng rng(seed);
+    std::set<std::pair<SimTime, uint64_t>> reference;
+    std::vector<EventId> handles;  // Live, run and cancelled alike.
+    int64_t ran = 0;
+    int64_t cancelled_live = 0;
+    int64_t budget = 3000;  // Schedules left in this run.
+    std::function<void(SimTime, uint64_t)> body;
+    auto schedule = [&](SimTime delay) {
+      const SimTime at = sim.Now() + delay;
+      const size_t index = handles.size();
+      EventId id = sim.Schedule(delay, [&, at, index] { body(at, handles[index].seq); });
+      handles.push_back(id);
+      reference.insert({at, id.seq});
+      --budget;
+    };
+    body = [&](SimTime at, uint64_t seq) {
+      ASSERT_FALSE(reference.empty());
+      ASSERT_EQ(*reference.begin(), std::make_pair(at, seq)) << "seed " << seed;
+      ASSERT_EQ(sim.Now(), at);
+      reference.erase(reference.begin());
+      ++ran;
+      int ops = 1 + static_cast<int>(rng.Below(4));
+      for (int i = 0; i < ops; ++i) {
+        if (budget > 0 && rng.Chance(0.6)) {
+          // Small delays make exact-time ties common.
+          schedule(static_cast<SimTime>(rng.Below(8)));
+        } else if (!handles.empty()) {
+          // A recent handle: a live event, one that ran, or one already
+          // cancelled.
+          const size_t recent = std::min<size_t>(handles.size(), 32);
+          EventId victim = handles[handles.size() - 1 - rng.Below(recent)];
+          sim.Cancel(victim);
+          for (auto it = reference.begin(); it != reference.end(); ++it) {
+            if (it->second == victim.seq) {
+              reference.erase(it);
+              ++cancelled_live;
+              break;
+            }
+          }
+        }
+      }
+      ASSERT_EQ(sim.pending_event_count(), reference.size());
+    };
+    for (int i = 0; i < 16; ++i) {
+      schedule(static_cast<SimTime>(rng.Below(8)));
+    }
+    sim.Run();
+    EXPECT_TRUE(reference.empty()) << "seed " << seed;
+    EXPECT_EQ(sim.pending_event_count(), 0u);
+    EXPECT_GT(ran, 500) << "seed " << seed;
+    EXPECT_GT(cancelled_live, 100) << "seed " << seed;
+  }
+}
+
+// Picks a fixed option index at every tie, recording what it was offered.
+class PickIndexPolicy : public SchedulePolicy {
+ public:
+  explicit PickIndexPolicy(size_t index) : index_(index) {}
+  size_t PickNext(SimTime, const std::vector<EventInfo>& options) override {
+    offered.push_back(options.size());
+    return index_;
+  }
+  std::vector<size_t> offered;
+
+ private:
+  size_t index_;
+};
+
+TEST(Simulation, TiedEventsPutBackByAPolicyStayCancellable) {
+  Simulation sim;
+  PickIndexPolicy policy(1);
+  sim.set_schedule_policy(&policy);
+  std::vector<int> order;
+  std::vector<EventId> ids(4);
+  for (int i = 0; i < 4; ++i) {
+    EventInfo info{EventTag::kGeneric, i, -1, -1};
+    ids[i] = sim.Schedule(Milliseconds(5), info, [&, i] {
+      order.push_back(i);
+      if (i == 1) {
+        // Events 0, 2 and 3 were popped as the tie and put back: their
+        // handles must still name them.
+        sim.Cancel(ids[0]);
+        sim.Cancel(ids[3]);
+      }
+    });
+  }
+  sim.Schedule(Milliseconds(9), [&] { order.push_back(9); });
+  sim.Run();
+  // Tie of four: the policy picks option 1. Only event 2 is left at 5 ms,
+  // so no further tie is offered.
+  EXPECT_EQ(policy.offered, (std::vector<size_t>{4}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
+  EXPECT_EQ(sim.pending_event_count(), 0u);
 }
 
 TEST(Simulation, BurnInstructionsAdvancesClock) {
