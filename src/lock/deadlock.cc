@@ -21,11 +21,6 @@ void WaitForGraph::AddEdges(const std::vector<WaitEdge>& edges) {
   }
 }
 
-void WaitForGraph::Clear() {
-  owners_.clear();
-  adjacency_.clear();
-}
-
 int WaitForGraph::edge_count() const {
   int n = 0;
   for (const auto& [node, adj] : adjacency_) {

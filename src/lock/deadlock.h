@@ -21,7 +21,6 @@ namespace locus {
 class WaitForGraph {
  public:
   void AddEdges(const std::vector<WaitEdge>& edges);
-  void Clear();
 
   // All distinct owners that appear on a cycle, grouped per cycle.
   std::vector<std::vector<LockOwner>> FindCycles() const;

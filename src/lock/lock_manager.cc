@@ -184,13 +184,20 @@ std::vector<TxnId> LockManager::TransactionsWithLocks() const {
   std::sort(keys.begin(), keys.end(),
             [](const FileId* a, const FileId* b) { return *a < *b; });
   std::vector<TxnId> out;
+  auto add = [&out](const TxnId& txn) {
+    if (txn.valid() && std::find(out.begin(), out.end(), txn) == out.end()) {
+      out.push_back(txn);
+    }
+  };
   for (const FileId* key : keys) {
     for (const LockList::Entry& e : files_.at(*key).entries()) {
-      if (e.owner.txn.valid() &&
-          std::find(out.begin(), out.end(), e.owner.txn) == out.end()) {
-        out.push_back(e.owner.txn);
-      }
+      add(e.owner.txn);
     }
+  }
+  // Queued requests too, FIFO: a waiter whose home is lost must be withdrawn
+  // now, or it is later granted to a dead transaction.
+  for (const Waiting& w : waiting_) {
+    add(w.owner.txn);
   }
   return out;
 }

@@ -95,7 +95,8 @@ class LockManager {
   // Read-only view of every file's lock list (diagnostics, tests).
   const std::unordered_map<FileId, LockList, FileIdHash>& files() const { return files_; }
 
-  // Transactions holding any lock at this site (topology-change abort scan).
+  // Transactions holding or queued for any lock at this site (topology-change
+  // abort scan): holders in file-id order, then queued-only ones FIFO.
   std::vector<TxnId> TransactionsWithLocks() const;
 
   // Site crash: all lock state is volatile; queued waiters are dropped

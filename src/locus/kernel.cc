@@ -14,21 +14,6 @@ namespace locus {
 static_assert(kFormBatch == kFormBatchMsgType,
               "formation batch envelope wire type out of sync");
 
-namespace {
-
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-
-}  // namespace
-
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
@@ -54,6 +39,9 @@ void Kernel::BurnCpu(int64_t instructions) {
 }
 
 void Kernel::Trace(const char* format, ...) {
+  if (!trace().enabled()) {
+    return;
+  }
   char buffer[512];
   va_list args;
   va_start(args, format);
@@ -113,16 +101,6 @@ void Kernel::MaybeCrashAt(ProtocolStep step) {
   throw SimCancelled{};
 }
 
-int64_t Kernel::live_kernel_processes() const {
-  int64_t n = 0;
-  for (SimProcess* kp : kernel_procs_) {
-    if (kp->state() != SimProcess::State::kFinished) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 void Kernel::RegisterBlockingHandler(
     int32_t type, std::function<void(SiteId, const Message&, Responder)> fn) {
   net().RegisterHandler(site_, type, [this, fn](SiteId from, const Message& msg, Responder r) {
@@ -137,8 +115,6 @@ void Kernel::RegisterBlockingHandler(
 void Kernel::Start() {
   FormationQueue::Options form_opts;
   form_opts.enabled = system_->options().formation;
-  form_opts.flush_delay = system_->options().formation_flush_delay;
-  form_opts.max_batch_bytes = system_->options().formation_max_batch_bytes;
   form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_, form_opts);
   form_->Start();
   if (system_->observers().enabled()) {

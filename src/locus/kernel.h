@@ -150,9 +150,6 @@ class Kernel {
   // Deadlock-detector entry point: wait-for edges at this site.
   std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
 
-  // Test/diagnostic access.
-  int64_t live_kernel_processes() const;
-
  private:
   friend class System;
 

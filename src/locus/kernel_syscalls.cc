@@ -9,19 +9,6 @@
 
 namespace locus {
 
-namespace {
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-}  // namespace
-
 LockOwner Kernel::OwnerOf(const OsProcess* p) const {
   if (p->txn.valid()) {
     return LockOwner{p->pid, p->txn};

@@ -12,17 +12,7 @@
 namespace locus {
 
 namespace {
-constexpr int32_t kControlMsgBytes = 96;
 constexpr int kRouteAttempts = 12;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
 
 void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& src) {
   for (const UsedFile& f : src) {

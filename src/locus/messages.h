@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/ids.h"
@@ -62,6 +63,19 @@ enum MsgType : int32_t {
   // kFormBatchMsgType (static_assert in kernel.cc).
   kFormBatch = 64,
 };
+
+// Wire size of a control message (header plus a small payload); data-bearing
+// messages add their byte count to it.
+inline constexpr int32_t kControlMsgBytes = 96;
+
+template <typename T>
+Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
+  Message m;
+  m.type = type;
+  m.size_bytes = size_bytes;
+  m.payload = std::move(payload);
+  return m;
+}
 
 struct OpenRequest {
   FileId file;

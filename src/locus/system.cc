@@ -7,14 +7,7 @@
 namespace locus {
 
 namespace {
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = 96) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
+constexpr int32_t kPagesPerVolume = 8192;
 
 bool AuditEnabled(const SystemOptions& options) {
 #ifdef LOCUS_AUDIT_FORCE
@@ -63,7 +56,7 @@ System::~System() { StopDaemons(); }
 VolumeId System::AddVolume(SiteId site) {
   VolumeId id = AllocVolumeId();
   std::string name = "d" + std::to_string(site) + "v" + std::to_string(id);
-  auto disk = std::make_unique<Disk>(&sim_, &stats_, name, options_.pages_per_volume,
+  auto disk = std::make_unique<Disk>(&sim_, &stats_, name, kPagesPerVolume,
                                      options_.page_size, options_.disk_latency);
   auto volume = std::make_unique<Volume>(id, name, std::move(disk));
   if (options_.double_write_logs) {
@@ -127,21 +120,14 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
   kernel->SpawnKernelProcess("deadlock-detector", [this, site, kernel, period] {
     while (daemons_running_ && net_.IsAlive(site)) {
       WaitForGraph graph;
-      // Edges per reporting site, for the orphan-lock reaper below.
-      std::vector<std::pair<SiteId, WaitEdge>> sited_edges;
       for (SiteId s = 0; s < site_count(); ++s) {
-        std::vector<WaitEdge> edges;
         if (s == site) {
-          edges = kernel->LocalWaitEdges();
+          graph.AddEdges(kernel->LocalWaitEdges());
         } else if (net_.Reachable(site, s)) {
           RpcResult res = net_.Call(site, s, MakeMsg(kWaitEdgesReq, 0));
           if (res.ok) {
-            edges = res.reply.As<WaitEdgesReply>().edges;
+            graph.AddEdges(res.reply.As<WaitEdgesReply>().edges);
           }
-        }
-        graph.AddEdges(edges);
-        for (const WaitEdge& e : edges) {
-          sited_edges.push_back({s, e});
         }
       }
       for (const LockOwner& victim : graph.SelectVictims()) {
@@ -150,30 +136,6 @@ void System::StartDeadlockDetector(SiteId site, SimTime period) {
           trace_.Log(sim_.Now(), "detector", "aborting deadlock victim %s",
                      ToString(victim.txn).c_str());
           kernel->RouteAbort(victim.txn, "deadlock victim");
-        }
-      }
-      // Orphan-lock reaper: a waiter blocked by a transaction that no longer
-      // exists anywhere (aborted; its lock entry leaked through a
-      // kill/grant race) gets unwedged by clearing the dead transaction's
-      // residue at the blocking site. This is one of the "deadlock
-      // resolution and redo strategies" section 3.1 leaves to system
-      // processes.
-      for (const auto& [s, edge] : sited_edges) {
-        const TxnId& holder = edge.holder.txn;
-        if (!holder.valid() || !net_.Reachable(site, holder.site)) {
-          continue;
-        }
-        RpcResult res =
-            net_.Call(site, holder.site, MakeMsg(kTxnStatusReq, TxnStatusRequest{holder}));
-        if (!res.ok) {
-          continue;
-        }
-        auto status = static_cast<TxnStatus>(res.reply.As<TxnStatusReply>().status);
-        if (status == TxnStatus::kAborted) {
-          stats_.Add("deadlock.orphan_locks_reaped");
-          trace_.Log(sim_.Now(), "detector", "reaping orphan locks of %s at site %d",
-                     ToString(holder).c_str(), s);
-          kernel->form().Send(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{holder}));
         }
       }
       sim_.Sleep(period);

@@ -28,7 +28,6 @@ class Syscalls;
 struct SystemOptions {
   uint64_t seed = 1;
   int32_t page_size = 1024;        // The paper's measurements used 1 KB pages.
-  int32_t pages_per_volume = 8192;
   int32_t pool_pages = 256;        // Buffer pool capacity per site.
   // Fidelity switches for the 1985 implementation's known inefficiencies
   // (footnotes 9 and 10), used by the Figure 5 experiment.
@@ -47,8 +46,6 @@ struct SystemOptions {
   // records share one force per volume. Off by default; with it off the
   // event order is bit-identical to a build without the subsystem.
   bool formation = false;
-  SimTime formation_flush_delay = Microseconds(1500);
-  int32_t formation_max_batch_bytes = 4096;
   // Runtime protocol auditor (src/audit): machine-checks 2PL coverage,
   // shadow-page isolation, and 2PC message order while the cluster runs.
   // Forced on when the build defines LOCUS_AUDIT_FORCE (cmake -DLOCUS_AUDIT=ON).

@@ -81,16 +81,6 @@ bool Network::Reachable(SiteId a, SiteId b) const {
          sites_[a].partition_group == sites_[b].partition_group;
 }
 
-std::vector<SiteId> Network::ReachableSites(SiteId from) const {
-  std::vector<SiteId> out;
-  for (SiteId s = 0; s < static_cast<SiteId>(sites_.size()); ++s) {
-    if (s != from && Reachable(from, s)) {
-      out.push_back(s);
-    }
-  }
-  return out;
-}
-
 void Network::Send(SiteId from, SiteId to, Message msg) {
   if (!sites_[from].alive) {
     return;

@@ -158,9 +158,6 @@ class Network {
   // Increments on each reboot; feeds transaction-id temporal uniqueness.
   uint32_t BootEpoch(SiteId site) const { return static_cast<uint32_t>(sites_[site].boot_epoch); }
   bool Reachable(SiteId a, SiteId b) const;
-  // All sites `from` can currently reach, excluding itself (reintegration
-  // uses this to find peers worth probing after a heal or reboot).
-  std::vector<SiteId> ReachableSites(SiteId from) const;
   void Crash(SiteId site);
   void Reboot(SiteId site);
   // Splits the network; each inner vector is one partition. Sites not listed

@@ -23,11 +23,6 @@ OsProcess* ProcessTable::Find(Pid pid) {
   return it == table_.end() ? nullptr : it->second.get();
 }
 
-const OsProcess* ProcessTable::Find(Pid pid) const {
-  auto it = table_.find(pid);
-  return it == table_.end() ? nullptr : it->second.get();
-}
-
 SiteId ProcessTable::ForwardingFor(Pid pid) const {
   auto it = forwarding_.find(pid);
   return it == forwarding_.end() ? kNoSite : it->second;

@@ -116,7 +116,6 @@ class ProcessTable {
   // Removes and returns the process record (exit or outbound migration).
   std::unique_ptr<OsProcess> Take(Pid pid);
   OsProcess* Find(Pid pid);
-  const OsProcess* Find(Pid pid) const;
 
   // Forwarding pointer left behind when a process migrates away.
   void SetForwarding(Pid pid, SiteId new_site) { forwarding_[pid] = new_site; }

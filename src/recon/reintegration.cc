@@ -7,21 +7,6 @@
 
 namespace locus {
 
-namespace {
-
-constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
-
-}  // namespace
-
 int32_t FetchWireBytes(const ReplicaFetchReply& reply, int32_t page_size) {
   int32_t total = kControlMsgBytes;
   for (const auto& [slot, page] : reply.pages) {

@@ -170,5 +170,76 @@ TEST(DeadlockEndToEnd, NoFalsePositivesUnderPlainContention) {
   EXPECT_EQ(system.stats().Get("deadlock.victims"), 0);
 }
 
+// --- Queued waiters of a lost transaction: a foreign transaction queues a
+// lock at a storage site, then its home crashes or is partitioned away. The
+// storage site's topology-change abort scan must withdraw the queued request;
+// otherwise it is granted to the dead transaction when the holder releases,
+// and the lock is held by a ghost forever. No detector runs. ---
+
+enum class HomeLoss { kCrash, kPartition };
+
+void RunQueuedWaiterOfLostHome(HomeLoss loss) {
+  constexpr SiteId kStorage = 1;
+  constexpr SiteId kHome = 2;
+  System system(3);
+  bool late_committed = false;
+  system.Spawn(kStorage, "holder", [&](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat("/f"), Err::kOk);
+    auto fd = sys.Open("/f", {.read = true, .write = true});
+    sys.WriteString(fd.value, "FFFFFFFF");
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    fd = sys.Open("/f", {.read = true, .write = true});
+    ASSERT_EQ(sys.Lock(fd.value, 8, LockOp::kExclusive).err, Err::kOk);
+    sys.Compute(Seconds(2));  // The waiter queues and loses its home meanwhile.
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);
+  });
+  system.Spawn(kHome, "waiter", [](Syscalls& sys) {
+    sys.Compute(Milliseconds(200));
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/f", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    sys.Lock(fd.value, 8, LockOp::kExclusive, {.wait = true});  // Queues.
+  });
+  system.Spawn(0, "injector", [loss](Syscalls& sys) {
+    sys.Compute(Seconds(1));
+    if (loss == HomeLoss::kCrash) {
+      sys.system().CrashSite(kHome);
+    } else {
+      sys.system().Partition({{0, kStorage}, {kHome}});
+    }
+  });
+  // After the holder commits, a later transaction must get the lock.
+  system.Spawn(0, "late", [&](Syscalls& sys) {
+    sys.Compute(Seconds(3));
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/f", {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.Lock(fd.value, 8, LockOp::kExclusive, {.wait = true}).err, Err::kOk);
+    sys.Close(fd.value);
+    late_committed = sys.EndTrans() == Err::kOk;
+  });
+  system.Run();
+
+  EXPECT_TRUE(late_committed);
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+  LockManager& locks = system.kernel(kStorage).lock_manager();
+  EXPECT_EQ(locks.waiting_count(), 0);
+  for (const auto& [file, list] : locks.files()) {
+    for (const LockList::Entry& e : list.entries()) {
+      EXPECT_NE(e.owner.txn.site, kHome) << "ghost lock of " << ToString(e.owner.txn);
+    }
+  }
+}
+
+TEST(QueuedWaiterOfLostHome, HomeCrashWithdrawsQueuedRequest) {
+  RunQueuedWaiterOfLostHome(HomeLoss::kCrash);
+}
+
+TEST(QueuedWaiterOfLostHome, HomePartitionWithdrawsQueuedRequest) {
+  RunQueuedWaiterOfLostHome(HomeLoss::kPartition);
+}
+
 }  // namespace
 }  // namespace locus

@@ -180,8 +180,12 @@ TEST_F(LockManagerTest, TransactionsWithLocksEnumerates) {
   Request(kFileA, {0, 10}, Txn(kT1), LockMode::kShared, false, 1);
   Request(kFileB, {0, 10}, Txn(kT2), LockMode::kShared, false, 2);
   Request(kFileB, {20, 10}, Proc(5), LockMode::kShared, false, 3);
-  auto txns = manager_.TransactionsWithLocks();
-  EXPECT_EQ(txns.size(), 2u);
+  // Queued-only transactions come after the holders, in FIFO order.
+  const TxnId t4{0, 0, 4};
+  Request(kFileA, {0, 10}, Txn(t4), LockMode::kExclusive, true, 4);
+  Request(kFileB, {0, 10}, Txn(kT1), LockMode::kExclusive, true, 5);
+  Request(kFileA, {0, 10}, Txn(kT3), LockMode::kExclusive, true, 6);
+  EXPECT_EQ(manager_.TransactionsWithLocks(), (std::vector<TxnId>{kT1, kT2, t4, kT3}));
 }
 
 }  // namespace
