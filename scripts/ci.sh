@@ -8,8 +8,8 @@
 #      full crash-point enumeration of a 3-site commit (src/mc), plus a
 #      negative control that rediscovers + replays the seeded PR 3 race
 #   4. benchmark regression snapshot (scale table) + perf-gate: the fresh
-#      txn_per_s numbers must not regress beyond tolerance against the
-#      checked-in BENCH_scale.json baseline
+#      txn_per_s and msg/txn numbers must not regress beyond tolerance
+#      against the checked-in BENCH_scale.json baseline
 #   5. benchmark self-test (perfbench/selftest.py): the repository benchmark
 #      repeats itself, its traced and checked runs agree with the plain run,
 #      its correctness checks catch seeded damage, and every metric carries
@@ -102,7 +102,7 @@ echo "=== benchmark regression snapshot ==="
     --benchmark_filter=NONE >/dev/null
 cat build/BENCH_scale.json
 
-echo "=== perf-gate (txn_per_s vs checked-in baseline) ==="
+echo "=== perf-gate (txn_per_s and msg/txn vs checked-in baseline) ==="
 python3 scripts/perf_gate.py BENCH_scale.json build/BENCH_scale.json
 
 echo "=== benchmark self-test (perfbench) ==="

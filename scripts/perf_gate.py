@@ -2,13 +2,14 @@
 """Benchmark regression gate over the scale-throughput snapshot.
 
 Compares a freshly generated bench JSON against the checked-in baseline,
-per (bench, config) row, on the simulated txn_per_s metric. The simulation
-is deterministic, so the tolerance is not run-to-run noise — it absorbs the
+per (bench, config) row, on the simulated txn_per_s metric and on the
+transaction message cost form_messages_per_txn. The simulation is
+deterministic, so the tolerance is not run-to-run noise — it absorbs the
 rounding of the two-decimal snapshot format and deliberate small calibration
-drift. Anything past it is a real throughput regression and fails CI.
+drift. Anything past it is a real regression and fails CI.
 
-Host wall-clock (wall_ms) and the form_* extras are informational only: wall
-time depends on the CI machine, and the messages/forces gauges have their own
+Host wall-clock (wall_ms) and form_log_forces_per_txn are informational
+only: wall time depends on the CI machine, and the forces gauge has its own
 acceptance tests.
 
 Rules:
@@ -16,6 +17,10 @@ Rules:
     disappearing is itself a regression).
   - New rows absent from the baseline pass (refresh the baseline to pin them).
   - txn_per_s below baseline by more than --tolerance (default 5%) fails.
+  - form_messages_per_txn above baseline * (1 + --tolerance) + MSG_SLACK
+    fails, for every baseline row that has the column (a fresh row without
+    it fails too). The absolute slack covers the snapshot rounding on rows
+    whose baseline is 0 or near it (the one-site row sends no messages).
   - The REQUIRED_ROWS must be present in BOTH files. They anchor the gate:
     the certifier-off sites=16 scale row is the overhead reference the
     serializability certifier (src/serial) is measured against, so neither a
@@ -32,6 +37,11 @@ import sys
 REQUIRED_ROWS = [
     ("scale_throughput", "sites=16,tellers=48,local=0.0"),
 ]
+
+# Absolute allowance, in messages per transaction, on top of the relative
+# tolerance for form_messages_per_txn.
+MSG_SLACK = 0.05
+MSG_KEY = "form_messages_per_txn"
 
 
 def load(path):
@@ -77,6 +87,21 @@ def main(argv):
                 f"{bench} [{config}]: txn_per_s {new:.2f} < {floor:.2f} "
                 f"(baseline {base:.2f} - {tolerance:.0%})")
         print(f"  {bench} [{config}]: {base:.2f} -> {new:.2f} txn/s {verdict}")
+        if MSG_KEY in base_row:
+            base_msgs = base_row[MSG_KEY]
+            new_msgs = fresh[key].get(MSG_KEY)
+            ceiling = base_msgs * (1.0 + tolerance) + MSG_SLACK
+            verdict = "ok"
+            if new_msgs is None:
+                verdict = "MISSING"
+                failures.append(f"{bench} [{config}]: {MSG_KEY} missing from new results")
+            elif new_msgs > ceiling:
+                verdict = "REGRESSED"
+                failures.append(
+                    f"{bench} [{config}]: {MSG_KEY} {new_msgs:.2f} > {ceiling:.2f} "
+                    f"(baseline {base_msgs:.2f} + {tolerance:.0%} + {MSG_SLACK})")
+            shown = "-" if new_msgs is None else f"{new_msgs:.2f}"
+            print(f"  {bench} [{config}]: {base_msgs:.2f} -> {shown} msg/txn {verdict}")
     for key in sorted(fresh.keys() - baseline.keys()):
         print(f"  {key[0]} [{key[1]}]: new row (not in baseline)")
 

@@ -80,14 +80,16 @@ std::vector<Volume*> Kernel::volumes() {
   return out;
 }
 
-SimProcess* Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
+void Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
   std::string full = net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
-  SimProcess* p = sim().Spawn(full, std::move(body));
-  // Lazily compact the tracking list.
-  std::erase_if(kernel_procs_,
-                [](SimProcess* kp) { return kp->state() == SimProcess::State::kFinished; });
-  kernel_procs_.push_back(p);
-  return p;
+  // Drop the handles of reclaimed processes only once the list has doubled
+  // since the last sweep: O(1) amortized per spawn, and the list stays within
+  // twice the live kernel processes.
+  if (kernel_procs_.size() >= kernel_procs_sweep_at_) {
+    std::erase_if(kernel_procs_, [this](ProcessHandle kp) { return sim().Find(kp) == nullptr; });
+    kernel_procs_sweep_at_ = std::max<size_t>(kMinKernelProcsSweep, 2 * kernel_procs_.size());
+  }
+  kernel_procs_.push_back(sim().Spawn(full, std::move(body)));
 }
 
 void Kernel::MaybeCrashAt(ProtocolStep step) {
@@ -133,7 +135,7 @@ void Kernel::Start() {
   env.trace = &trace();
   env.store_for = [this](VolumeId v) { return StoreFor(v); };
   env.spawn = [this](const std::string& name, std::function<void()> body) {
-    return SpawnKernelProcess(name, std::move(body));
+    SpawnKernelProcess(name, std::move(body));
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 

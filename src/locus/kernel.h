@@ -164,7 +164,7 @@ class Kernel {
   void BurnCpu(int64_t instructions);
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
   // Spawns a tracked kernel process (killed on crash).
-  SimProcess* SpawnKernelProcess(const std::string& name, std::function<void()> body);
+  void SpawnKernelProcess(const std::string& name, std::function<void()> body);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
@@ -270,7 +270,11 @@ class Kernel {
   // its prepare log, closing the window where an aborted transaction could
   // end up locally prepared with its locks already released.
   std::set<TxnId> locally_aborted_;
-  std::vector<SimProcess*> kernel_procs_;
+  // Kernel processes, killed on crash. Handles of finished ones linger until
+  // the next sweep (see SpawnKernelProcess).
+  static constexpr size_t kMinKernelProcsSweep = 16;
+  std::vector<ProcessHandle> kernel_procs_;
+  size_t kernel_procs_sweep_at_ = kMinKernelProcsSweep;
   // Records of killed processes. They are kept (not freed) until kernel
   // destruction because their SimProcess threads may still be unwinding and
   // in-flight callbacks may hold pointers.

@@ -98,8 +98,7 @@ void Network::Send(SiteId from, SiteId to, Message msg) {
 }
 
 RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout) {
-  SimProcess* self = Simulation::Current();
-  assert(self != nullptr && "Network::Call requires process context");
+  assert(Simulation::Current() != nullptr && "Network::Call requires process context");
   if (!Reachable(from, to)) {
     return RpcResult{false, {}};
   }
@@ -108,7 +107,6 @@ RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout
   PendingCall& call = pending_calls_[id];
   call.from = from;
   call.to = to;
-  call.caller = self;
   call.wake = std::make_unique<WaitQueue>(sim_);
 
   stats_.Add(messages_id_);
@@ -156,13 +154,11 @@ void Network::DispatchDelivered(SiteId from, SiteId to, const Message& msg,
 }
 
 uint64_t Network::PrepareCall(SiteId from, SiteId to) {
-  SimProcess* self = Simulation::Current();
-  assert(self != nullptr && "Network::PrepareCall requires process context");
+  assert(Simulation::Current() != nullptr && "Network::PrepareCall requires process context");
   uint64_t id = next_call_id_++;
   PendingCall& call = pending_calls_[id];
   call.from = from;
   call.to = to;
-  call.caller = self;
   call.wake = std::make_unique<WaitQueue>(sim_);
   return id;
 }

@@ -210,7 +210,6 @@ class Network {
   struct PendingCall {
     SiteId from;
     SiteId to;
-    SimProcess* caller;
     std::unique_ptr<WaitQueue> wake;
     // The armed timeout; cancelled when the call is erased, so a finished
     // call leaves nothing behind in the event queue.

@@ -129,9 +129,9 @@ constexpr size_t kFiberStackBytes = 512 * 1024;
 constexpr size_t kGuardBytes = 4096;  // One x86-64 page.
 }  // namespace
 
-SimProcess::SimProcess(Simulation* sim, uint64_t id, std::string name,
+SimProcess::SimProcess(Simulation* sim, ProcessHandle handle, uint64_t id, std::string name,
                        std::function<void()> body)
-    : sim_(sim), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+    : sim_(sim), handle_(handle), id_(id), name_(std::move(name)), body_(std::move(body)) {}
 
 SimProcess::~SimProcess() {
   if (stack_ != nullptr) {
@@ -236,7 +236,7 @@ void WaitQueue::Wait() {
     // Teardown is unwinding this process; blocking again would never return.
     return;
   }
-  waiters_.push_back(self);
+  waiters_.push_back(self->handle());
   self->state_ = SimProcess::State::kBlocked;
   self->YieldToScheduler();
 }
@@ -245,9 +245,11 @@ void WaitQueue::NotifyOne() {
   if (waiters_.empty()) {
     return;
   }
-  SimProcess* p = waiters_.front();
+  ProcessHandle waiter = waiters_.front();
   waiters_.pop_front();
-  sim_->MakeReady(p);
+  if (SimProcess* p = sim_->Find(waiter)) {
+    sim_->MakeReady(p);
+  }
 }
 
 void WaitQueue::NotifyAll() {
@@ -262,8 +264,21 @@ void WaitQueue::NotifyAll() {
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() {
-  // Destroy processes before anything else so their stacks unwind (and return
-  // to the pool) while the simulation object is still alive.
+  // Destroy the processes that never finished before anything else, so their
+  // stacks unwind (and return to the pool) while the simulation object is
+  // still alive. They go in spawn order. Each is moved out of its slot first:
+  // an unwinding body may still Spawn, which can grow processes_.
+  std::vector<SimProcess*> live;
+  for (const ProcessSlot& s : processes_) {
+    if (s.process != nullptr) {
+      live.push_back(s.process.get());
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const SimProcess* a, const SimProcess* b) { return a->id() < b->id(); });
+  for (SimProcess* p : live) {
+    std::unique_ptr<SimProcess> doomed = std::move(processes_[p->handle().slot].process);
+  }
   processes_.clear();
   for (char* stack : free_stacks_) {
     munmap(stack - kGuardBytes, kGuardBytes + kFiberStackBytes);
@@ -408,17 +423,33 @@ void Simulation::SiftDown(uint32_t pos) {
   Place(pos, node);
 }
 
-SimProcess* Simulation::Spawn(std::string name, std::function<void()> body) {
-  auto proc = std::unique_ptr<SimProcess>(
-      new SimProcess(this, next_pid_++, std::move(name), std::move(body)));
-  SimProcess* raw = proc.get();
-  processes_.push_back(std::move(proc));
-  MakeReady(raw);
-  return raw;
+ProcessHandle Simulation::Spawn(std::string name, std::function<void()> body) {
+  uint32_t slot;
+  if (!free_process_slots_.empty()) {
+    slot = free_process_slots_.back();
+    free_process_slots_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(processes_.size());
+    processes_.emplace_back();
+  }
+  const ProcessHandle handle{slot, processes_[slot].generation};
+  auto* p = new SimProcess(this, handle, next_pid_++, std::move(name), std::move(body));
+  processes_[slot].process.reset(p);
+  MakeReady(p);
+  return handle;
 }
 
-void Simulation::Kill(SimProcess* p) {
-  if (p->state_ == SimProcess::State::kFinished) {
+SimProcess* Simulation::Find(ProcessHandle handle) const {
+  if (handle.slot >= processes_.size()) {
+    return nullptr;
+  }
+  const ProcessSlot& s = processes_[handle.slot];
+  return s.generation == handle.generation ? s.process.get() : nullptr;
+}
+
+void Simulation::Kill(ProcessHandle handle) {
+  SimProcess* p = Find(handle);
+  if (p == nullptr) {
     return;
   }
   p->cancelled_ = true;
@@ -431,16 +462,25 @@ void Simulation::Kill(SimProcess* p) {
 }
 
 void Simulation::MakeReady(SimProcess* p) {
-  if (p->state_ == SimProcess::State::kFinished) {
-    return;  // Stale wake-up for a process that already died.
-  }
   p->state_ = SimProcess::State::kReady;
   EventInfo info{EventTag::kWakeup, static_cast<int32_t>(p->id_), -1, -1};
-  Schedule(0, info, [p] {
-    if (p->state_ == SimProcess::State::kReady) {
-      p->RunUntilParked();
-    }
-  });
+  Schedule(0, info, [this, handle = p->handle()] { Resume(handle); });
+}
+
+void Simulation::Resume(ProcessHandle handle) {
+  SimProcess* p = Find(handle);
+  if (p == nullptr || p->state_ != SimProcess::State::kReady) {
+    return;  // Reclaimed, or already resumed by an earlier wake-up.
+  }
+  p->RunUntilParked();
+  if (p->state_ == SimProcess::State::kFinished) {
+    // The fiber is gone and its stack is pooled: drop the body's captures
+    // and the name now rather than when the Simulation dies.
+    ProcessSlot& s = processes_[handle.slot];
+    std::unique_ptr<SimProcess> finished = std::move(s.process);
+    ++s.generation;
+    free_process_slots_.push_back(handle.slot);
+  }
 }
 
 namespace {
@@ -599,7 +639,12 @@ void Simulation::Sleep(SimTime duration) {
   }
   self->state_ = SimProcess::State::kBlocked;
   EventInfo info{EventTag::kSleepDone, static_cast<int32_t>(self->id_), -1, -1};
-  Schedule(duration, info, [this, self] { MakeReady(self); });
+  // A killed sleeper's timer is left to fire: it finds nothing to wake.
+  Schedule(duration, info, [this, handle = self->handle()] {
+    if (SimProcess* p = Find(handle)) {
+      MakeReady(p);
+    }
+  });
   self->YieldToScheduler();
 }
 
@@ -609,8 +654,8 @@ void Simulation::DumpProcesses() const {
   static const char* kStateNames[] = {"ready", "running", "blocked", "finished"};
   fprintf(stderr, "--- simulation processes at t=%lld us ---\n",
           static_cast<long long>(now_));
-  for (const auto& p : processes_) {
-    if (p->state() != SimProcess::State::kFinished) {
+  for (const ProcessSlot& s : processes_) {
+    if (const SimProcess* p = s.process.get()) {
       fprintf(stderr, "  %-40s %s\n", p->name().c_str(),
               kStateNames[static_cast<int>(p->state())]);
     }
@@ -619,8 +664,8 @@ void Simulation::DumpProcesses() const {
 
 int Simulation::blocked_process_count() const {
   int n = 0;
-  for (const auto& p : processes_) {
-    if (p->state() == SimProcess::State::kBlocked) {
+  for (const ProcessSlot& s : processes_) {
+    if (s.process != nullptr && s.process->state() == SimProcess::State::kBlocked) {
       ++n;
     }
   }

@@ -18,6 +18,16 @@
 // run this same scheduler, with each switch announced through the sanitizer
 // fiber API.
 //
+// Memory follows live processes, not the number ever spawned. Processes sit
+// in a slot array, and a finished process is destroyed, with its body's
+// captures and its name, as soon as its fiber has switched out for the last
+// time and its stack is back in the pool. Everything that refers to a
+// process from outside it (a wake-up event, a sleep timer, a WaitQueue
+// entry, a kernel's process table) holds a ProcessHandle, which resolves to
+// nullptr once the process is gone. Events addressed to a dead process still
+// fire and do nothing, exactly as they did when finished processes were
+// kept, so the event order is the same either way.
+//
 // The event queue holds only live events. It is an indexed 4-ary heap of
 // small (time, seq, slot) nodes; each event's callback and tag stay put in a
 // slot array while the nodes sift, and every slot records where its node
@@ -59,6 +69,21 @@ struct EventId {
 
   explicit operator bool() const { return slot != kNoSlot; }
 };
+
+// Handle to a process, returned by Simulation::Spawn. Like EventId it names a
+// slot plus something that tells its occupants apart: the slot's generation,
+// which moves on each time a process leaves the slot. A handle can safely
+// outlive its process: once the process has finished and been reclaimed, and
+// even after its slot holds a newer process, Find(handle) returns nullptr and
+// Kill(handle) does nothing. A default-constructed handle names no process.
+// Eight bytes, so a wake-up callback holding one and a Simulation pointer
+// still fits std::function's inline buffer.
+struct ProcessHandle {
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  uint32_t slot = kNoSlot;
+  uint32_t generation = 0;
+};
+static_assert(sizeof(ProcessHandle) == 8);
 
 // ---------------------------------------------------------------------------
 // Decision-point interface (schedule-space exploration; see src/mc).
@@ -167,7 +192,8 @@ struct SimCancelled {};
 
 // A cooperative simulated thread of control.
 //
-// Created via Simulation::Spawn. The body runs on a fiber, but only while the
+// Created via Simulation::Spawn and owned by the Simulation, which destroys
+// it once its body has finished. The body runs on a fiber, but only while the
 // scheduler has handed it control; every blocking primitive (Sleep,
 // WaitQueue::Wait, ...) parks it and returns control to the scheduler until a
 // wake-up event fires.
@@ -181,6 +207,7 @@ class SimProcess {
 
   const std::string& name() const { return name_; }
   uint64_t id() const { return id_; }
+  ProcessHandle handle() const { return handle_; }
   State state() const { return state_; }
   Simulation& simulation() const { return *sim_; }
 
@@ -188,7 +215,8 @@ class SimProcess {
   friend class Simulation;
   friend class WaitQueue;
 
-  SimProcess(Simulation* sim, uint64_t id, std::string name, std::function<void()> body);
+  SimProcess(Simulation* sim, ProcessHandle handle, uint64_t id, std::string name,
+             std::function<void()> body);
 
   // Runs on the process fiber: returns control to the scheduler.
   void YieldToScheduler();
@@ -197,6 +225,7 @@ class SimProcess {
   void RunUntilParked();
 
   Simulation* sim_;
+  ProcessHandle handle_;
   uint64_t id_;
   std::string name_;
   std::function<void()> body_;
@@ -243,7 +272,9 @@ class WaitQueue {
 
  private:
   Simulation* sim_;
-  std::deque<SimProcess*> waiters_;
+  // Entries of processes killed while waiting stay until notified; the wake
+  // then resolves to nothing, as a wake of a dead process always has.
+  std::deque<ProcessHandle> waiters_;
 };
 
 // The simulation: virtual clock, event queue, and process scheduler.
@@ -296,8 +327,13 @@ class Simulation {
   }
 
   // Creates a process whose body starts running at the current virtual time.
-  // The returned pointer stays valid until the Simulation is destroyed.
-  SimProcess* Spawn(std::string name, std::function<void()> body);
+  // The process lives until its body has finished (or, if it never finishes,
+  // until the Simulation is destroyed); the returned handle finds it until
+  // then and nothing afterwards.
+  ProcessHandle Spawn(std::string name, std::function<void()> body);
+  // The live process `handle` names, or nullptr once it has been reclaimed
+  // (and for a null handle).
+  SimProcess* Find(ProcessHandle handle) const;
 
   // Runs until the event queue drains (or Stop() is called). Processes left
   // blocked with no pending wake-up are reported by blocked_process_count().
@@ -308,10 +344,10 @@ class Simulation {
   void Stop() { stop_requested_ = true; }
 
   // Forcibly terminates a parked process: its body unwinds via SimCancelled.
-  // Used to model processes dying when their site crashes. Must not target
-  // the currently running process (a process models its own death by
-  // returning or throwing).
-  void Kill(SimProcess* p);
+  // Used to model processes dying when their site crashes. A process that
+  // kills itself unwinds at its next blocking point. A no-op for a process
+  // that has already been reclaimed.
+  void Kill(ProcessHandle handle);
 
   // --- Primitives callable from process context only ---
 
@@ -326,10 +362,15 @@ class Simulation {
   // Number of processes still blocked (diagnostic; nonzero after Run usually
   // indicates a lost wake-up or a genuine deadlock in the workload).
   int blocked_process_count() const;
-  // Debug aid: prints every non-finished process and its state to stderr.
+  // Debug aid: prints every live process and its state to stderr.
   // Unsynchronized; intended for post-mortem inspection from a watchdog.
   void DumpProcesses() const;
-  int spawned_process_count() const { return static_cast<int>(processes_.size()); }
+  // Every Spawn so far, finished processes included.
+  int spawned_process_count() const { return static_cast<int>(next_pid_ - 1); }
+  // Processes not yet reclaimed: spawned and not finished.
+  int live_process_count() const {
+    return static_cast<int>(processes_.size() - free_process_slots_.size());
+  }
 
  private:
   friend class SimProcess;
@@ -359,6 +400,9 @@ class Simulation {
 
   // Marks `p` runnable at the current time (scheduler will hand it control).
   void MakeReady(SimProcess* p);
+  // Wake-up event body: hands the process named by `handle` control if it is
+  // still live and ready, and reclaims it once its body has finished.
+  void Resume(ProcessHandle handle);
   // Removes and returns the next event to run: the earliest-time event, with
   // same-time ties resolved by the installed SchedulePolicy (historical seq
   // order when none is installed or it returns 0). When the policy declares a
@@ -396,7 +440,14 @@ class Simulation {
   std::vector<HeapNode> heap_;
   std::vector<EventSlot> slots_;
   std::vector<uint32_t> free_slots_;
-  std::vector<std::unique_ptr<SimProcess>> processes_;
+  // Live processes by slot. A slot without a process is free and listed in
+  // free_process_slots_; its generation moves on when its process leaves.
+  struct ProcessSlot {
+    std::unique_ptr<SimProcess> process;
+    uint32_t generation = 0;
+  };
+  std::vector<ProcessSlot> processes_;
+  std::vector<uint32_t> free_process_slots_;
 
   // Fiber stacks, each just above its guard page. Finished processes push
   // theirs onto free_stacks_; they are unmapped with the Simulation.

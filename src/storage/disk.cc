@@ -12,10 +12,10 @@ Disk::Disk(Simulation* sim, StatRegistry* stats, std::string name, int32_t num_p
       num_pages_(num_pages),
       page_size_(page_size),
       access_latency_(access_latency),
-      stable_(num_pages) {
-  for (PageRef& p : stable_) {
-    p = MakePage(PageData(page_size_, 0));
-  }
+      // Every page that was never written aliases one zero image. Nobody
+      // mutates a shared PageRef (MutablePage clones first), so unwritten
+      // pages cost one image in all rather than one each.
+      stable_(num_pages, MakePage(PageData(page_size, 0))) {
   auto init = [&](KindStats& ks, const char* kind) {
     ks.disk_id = stats_->Intern("disk." + name_ + "." + kind);
     ks.io_id = stats_->Intern(std::string("io.") + kind);

@@ -8,6 +8,9 @@
 // Crash semantics are real: only pages whose Write completed before the crash
 // survive; requests still queued or in flight at crash time are dropped. The
 // recovery experiments depend on this.
+//
+// Memory follows what was written: a fresh disk's pages all share one zero
+// image, and a page gets its own image only when a Write installs one.
 
 #ifndef SRC_STORAGE_DISK_H_
 #define SRC_STORAGE_DISK_H_

@@ -188,11 +188,13 @@ DebitCreditResults DebitCreditWorkload::Execute() {
     // would otherwise dominate the per-transaction ratios below.
     messages_at_audit = system_->net().stats().Get("net.messages");
     log_forces_at_audit = system_->stats().Get("form.log_forces");
+    // The workload is done: stop the detector so the run ends at quiescence
+    // instead of polling an idle cluster until the hour below is up.
+    system_->StopDaemons();
   });
 
   system_->StartDeadlockDetector(0, Milliseconds(150));
   system_->RunFor(Seconds(3600));
-  system_->StopDaemons();
   system_->RunFor(Seconds(2));
   results_.makespan = audited_at > started ? audited_at - started : 0;
   // Derived per-transaction gauges, milli fixed-point (value * 1000), over

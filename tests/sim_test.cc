@@ -138,7 +138,7 @@ TEST(Simulation, KillUnwindsBlockedProcess) {
   WaitQueue queue(&sim);
   bool cleaned_up = false;
   bool reached_end = false;
-  SimProcess* victim = sim.Spawn("victim", [&] {
+  ProcessHandle victim = sim.Spawn("victim", [&] {
     struct Guard {
       bool* flag;
       ~Guard() { *flag = true; }
@@ -150,20 +150,124 @@ TEST(Simulation, KillUnwindsBlockedProcess) {
   sim.Run();
   EXPECT_TRUE(cleaned_up);   // RAII ran during unwind.
   EXPECT_FALSE(reached_end);  // Body never resumed normally.
-  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_EQ(sim.Find(victim), nullptr);  // Finished and reclaimed.
+  EXPECT_EQ(sim.live_process_count(), 0);
 }
 
 TEST(Simulation, KillIsIdempotentAndStaleWakeupsAreHarmless) {
   Simulation sim;
   WaitQueue queue(&sim);
-  SimProcess* victim = sim.Spawn("victim", [&] { queue.Wait(); });
+  bool cleaned_up = false;
+  ProcessHandle victim = sim.Spawn("victim", [&] {
+    struct Guard {
+      bool* flag;
+      ~Guard() { *flag = true; }
+    } guard{&cleaned_up};
+    queue.Wait();
+  });
   sim.Schedule(Milliseconds(1), [&] {
     sim.Kill(victim);
     sim.Kill(victim);
   });
-  sim.Schedule(Milliseconds(2), [&] { queue.NotifyAll(); });  // Stale wake-up.
+  sim.Schedule(Milliseconds(2), [&] {
+    sim.Kill(victim);   // Reclaimed by now: a no-op.
+    queue.NotifyAll();  // Stale wake-up.
+  });
   sim.Run();
-  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_TRUE(cleaned_up);
+  EXPECT_EQ(sim.Find(victim), nullptr);
+}
+
+TEST(Simulation, StaleHandleFindsNothingAfterItsSlotIsReused) {
+  Simulation sim;
+  WaitQueue queue(&sim);
+  ProcessHandle first = sim.Spawn("first", [] {});
+  sim.Run();
+  ProcessHandle second = sim.Spawn("second", [&] { queue.Wait(); });
+  EXPECT_EQ(second.slot, first.slot);  // The finished process's slot.
+  EXPECT_EQ(sim.Find(first), nullptr);
+  ASSERT_NE(sim.Find(second), nullptr);
+  EXPECT_EQ(sim.Find(second)->name(), "second");
+  EXPECT_EQ(sim.Find(ProcessHandle{}), nullptr);
+  sim.Kill(first);  // Must not touch "second".
+  sim.Run();
+  EXPECT_EQ(sim.blocked_process_count(), 1);
+  EXPECT_EQ(sim.live_process_count(), 1);
+}
+
+TEST(Simulation, FinishedProcessReleasesItsBodyCaptures) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  sim.Spawn("holder", [token, &sim] { sim.Sleep(Milliseconds(1)); });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.Run();
+  EXPECT_EQ(token.use_count(), 1);  // Gone with the process, not with the sim.
+}
+
+TEST(Simulation, KilledSleepersTimerFiresButWakesNoReusedSlot) {
+  // The victim's 10 ms sleep timer stays queued after the kill (cancelling it
+  // would renumber later events); when it fires, the victim's slot belongs to
+  // a process parked in a WaitQueue, which it must not wake.
+  Simulation sim;
+  WaitQueue queue(&sim);
+  bool cleaned_up = false;
+  bool successor_woke = false;
+  ProcessHandle victim = sim.Spawn("sleeper", [&] {
+    struct Guard {
+      bool* flag;
+      ~Guard() { *flag = true; }
+    } guard{&cleaned_up};
+    sim.Sleep(Milliseconds(10));
+  });
+  ProcessHandle successor;
+  sim.Schedule(Milliseconds(1), [&] { sim.Kill(victim); });
+  sim.Schedule(Milliseconds(2), [&] {
+    successor = sim.Spawn("successor", [&] {
+      queue.Wait();
+      successor_woke = true;
+    });
+  });
+  sim.Run();
+  EXPECT_TRUE(cleaned_up);
+  EXPECT_EQ(sim.Find(victim), nullptr);
+  EXPECT_EQ(successor.slot, victim.slot);
+  EXPECT_EQ(sim.Now(), Milliseconds(10));  // The stale timer still ran.
+  EXPECT_FALSE(successor_woke);
+  EXPECT_EQ(sim.blocked_process_count(), 1);
+}
+
+TEST(Simulation, KilledWaitersEntryWakesNoReusedSlot) {
+  // The victim's WaitQueue entry outlives it; NotifyAll then reaches the
+  // victim's slot while a sleeping process owns it, and must not cut that
+  // sleep short.
+  Simulation sim;
+  WaitQueue queue(&sim);
+  bool cleaned_up = false;
+  SimTime successor_woke_at = -1;
+  ProcessHandle victim = sim.Spawn("waiter", [&] {
+    struct Guard {
+      bool* flag;
+      ~Guard() { *flag = true; }
+    } guard{&cleaned_up};
+    queue.Wait();
+  });
+  ProcessHandle successor;
+  sim.Schedule(Milliseconds(1), [&] {
+    sim.Kill(victim);
+    EXPECT_EQ(queue.size(), 1u);
+  });
+  sim.Schedule(Milliseconds(2), [&] {
+    successor = sim.Spawn("successor", [&] {
+      sim.Sleep(Milliseconds(10));
+      successor_woke_at = sim.Now();
+    });
+  });
+  sim.Schedule(Milliseconds(3), [&] { queue.NotifyAll(); });
+  sim.Run();
+  EXPECT_TRUE(cleaned_up);
+  EXPECT_EQ(successor.slot, victim.slot);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(successor_woke_at, Milliseconds(12));
 }
 
 TEST(Simulation, RunForStopsAtDeadline) {
@@ -396,19 +500,22 @@ int MapCount() {
 TEST(Simulation, FinishedProcessesReturnTheirStacksToThePool) {
   // 100k processes through one Simulation, at most 200 alive at once. Were a
   // finished process to keep its guarded stack (two mappings) until the
-  // Simulation dies, this would pass vm.max_map_count (65530 by default).
+  // Simulation dies, this would pass vm.max_map_count (65530 by default);
+  // were it to keep its record, the live count would climb to 100k.
   constexpr int kProcesses = 100000;
   constexpr int kBatch = 200;
   Simulation sim;
   const int maps_before = MapCount();
   int finished = 0;
   int maps_during = 0;
+  int most_live = 0;
   sim.Spawn("spawner", [&] {
     for (int i = 0; i < kProcesses; ++i) {
       sim.Spawn("child", [&] {
         sim.Sleep(Microseconds(1));
         ++finished;
       });
+      most_live = std::max(most_live, sim.live_process_count());
       if (i % kBatch == kBatch - 1) {
         sim.Sleep(Microseconds(10));
       }
@@ -418,6 +525,8 @@ TEST(Simulation, FinishedProcessesReturnTheirStacksToThePool) {
   sim.Run();
   EXPECT_EQ(finished, kProcesses);
   EXPECT_EQ(sim.spawned_process_count(), kProcesses + 1);
+  EXPECT_EQ(sim.live_process_count(), 0);
+  EXPECT_LE(most_live, kBatch + 1);  // The spawner plus one batch.
   EXPECT_EQ(sim.blocked_process_count(), 0);
   // Mappings follow the live fibers (about kBatch), not the 100k spawned: two
   // per stack, plus whatever the TSan runtime keeps per live fiber (about 8).
@@ -441,7 +550,7 @@ TEST(Simulation, KillAndTeardownUnwindProcessesOnRecycledStacks) {
   int unwound = 0;
   bool resumed = false;
   uintptr_t victim_frame = 0;
-  SimProcess* victim = sim->Spawn("victim", [&] {
+  ProcessHandle victim = sim->Spawn("victim", [&] {
     Guard guard{&unwound};
     int local = 0;
     victim_frame = reinterpret_cast<uintptr_t>(&local);
@@ -454,7 +563,7 @@ TEST(Simulation, KillAndTeardownUnwindProcessesOnRecycledStacks) {
   const uintptr_t distance = victim_frame > first_frame ? victim_frame - first_frame
                                                         : first_frame - victim_frame;
   EXPECT_LT(distance, 64u * 1024);
-  EXPECT_EQ(victim->state(), SimProcess::State::kFinished);
+  EXPECT_EQ(sim->Find(victim), nullptr);
   EXPECT_EQ(unwound, 1);
   EXPECT_FALSE(resumed);
 

@@ -1,5 +1,6 @@
 // Disk and Volume tests: FIFO latency model, I/O accounting, crash semantics
-// (in-flight requests lost, stable pages kept), inode-table atomicity, the
+// (in-flight requests lost, stable pages kept), the shared zero image behind
+// unwritten pages, inode-table atomicity, the
 // per-volume log with its single/double-write append modes (footnote 9), and
 // allocation rebuild during recovery (section 4.4).
 
@@ -83,6 +84,43 @@ TEST_F(DiskTest, CrashDropsInFlightWrites) {
   sim_.Schedule(Milliseconds(5), [&] { disk_.DropPendingRequests(); });
   sim_.Run();
   EXPECT_EQ(disk_.PeekStable(7)[0], 0);  // Never reached stable storage.
+  EXPECT_EQ(&disk_.PeekStable(7), &disk_.PeekStable(0));  // Still the zero image.
+}
+
+TEST_F(DiskTest, UnwrittenPagesAliasOneZeroImage) {
+  const PageData& first = disk_.PeekStable(0);
+  EXPECT_EQ(first, PageData(64, 0));
+  for (PageId p = 1; p < disk_.num_pages(); ++p) {
+    EXPECT_EQ(&disk_.PeekStable(p), &first) << "page " << p;
+  }
+}
+
+TEST_F(DiskTest, WriteLeavesNeighboursZeroAndShared) {
+  Run([&] { disk_.Write(5, MakePage(PageData(64, 0xEE)), "data"); });
+  EXPECT_EQ(disk_.PeekStable(5), PageData(64, 0xEE));
+  EXPECT_NE(&disk_.PeekStable(5), &disk_.PeekStable(4));
+  EXPECT_EQ(disk_.PeekStable(4), PageData(64, 0));
+  EXPECT_EQ(disk_.PeekStable(6), PageData(64, 0));
+  EXPECT_EQ(&disk_.PeekStable(4), &disk_.PeekStable(6));
+}
+
+TEST_F(DiskTest, MutablePageOfAReadPageClones) {
+  Run([&] {
+    PageRef unwritten = disk_.Read(3, "data");
+    EXPECT_EQ(unwritten.get(), &disk_.PeekStable(3));
+    MutablePage(unwritten)[0] = 0x11;
+    EXPECT_NE(unwritten.get(), &disk_.PeekStable(3));
+
+    disk_.Write(9, MakePage(PageData(64, 0x22)), "data");
+    PageRef written = disk_.Read(9, "data");
+    MutablePage(written)[0] = 0x33;
+    EXPECT_NE(written.get(), &disk_.PeekStable(9));
+  });
+  // Neither the zero image nor the written page changed under the clones.
+  for (PageId p : {0, 3, 4}) {
+    EXPECT_EQ(disk_.PeekStable(p), PageData(64, 0)) << "page " << p;
+  }
+  EXPECT_EQ(disk_.PeekStable(9), PageData(64, 0x22));
 }
 
 TEST_F(DiskTest, CompletedWritesSurviveCrash) {
