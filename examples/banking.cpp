@@ -10,7 +10,9 @@
 // resolved by the user-level detector (section 3.1): victims simply retry.
 //
 // The invariant checked at the end: total money is conserved, no matter how
-// the transfers interleave, wait, or get aborted and retried.
+// the transfers interleave, wait, or get aborted and retried. The run ends
+// when the audit does; it exits nonzero when money was not conserved or a
+// process was left blocked (a deadlock the detector missed).
 
 #include <cstdio>
 #include <string>
@@ -102,6 +104,8 @@ int main() {
   System system(kBranches);
   int committed = 0;
   int retried = 0;
+  bool audited = false;
+  bool conserved = false;
 
   system.Spawn(0, "bank-setup", [&](Syscalls& sys) {
     sys.Mkdir("/bank");
@@ -159,17 +163,24 @@ int main() {
       sys.Close(fd.value);
     }
     int64_t expected = static_cast<int64_t>(kBranches) * kAccountsPerBranch * kInitialBalance;
+    audited = true;
+    conserved = total == expected;
     printf("audit: total=%lld expected=%lld -> %s\n", static_cast<long long>(total),
-           static_cast<long long>(expected), total == expected ? "CONSERVED" : "LOST MONEY");
+           static_cast<long long>(expected), conserved ? "CONSERVED" : "LOST MONEY");
   });
 
+  // Runs until the audit is done. The cap only ends a run that a missed
+  // deadlock keeps from finishing.
   system.StartDeadlockDetector(0, Milliseconds(150));
-  system.RunFor(Seconds(600));
+  while (!audited && system.sim().Now() < Seconds(600)) {
+    system.RunFor(Seconds(1));
+  }
   system.StopDaemons();
-  system.RunFor(Seconds(2));
+  system.Run();
 
-  if (system.sim().blocked_process_count() > 0) {
-    printf("WARNING: %d processes still blocked\n", system.sim().blocked_process_count());
+  int blocked = system.sim().blocked_process_count();
+  if (blocked > 0) {
+    printf("ERROR: %d processes still blocked\n", blocked);
     system.sim().DumpProcesses();
   }
   printf("transfers committed: %d, retries after abort/conflict: %d\n", committed, retried);
@@ -178,5 +189,5 @@ int main() {
   printf("transactions committed (system-wide): %lld, aborted: %lld\n",
          static_cast<long long>(system.stats().Get("txn.committed")),
          static_cast<long long>(system.stats().Get("txn.aborted")));
-  return 0;
+  return conserved && blocked == 0 ? 0 : 1;
 }

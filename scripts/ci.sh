@@ -4,25 +4,27 @@
 #      observer-hook coverage, obligation pairing) — and a self-test that it
 #      still detects every violation class seeded in scripts/lint_fixture
 #   2. RelWithDebInfo build (-Werror) + full test suite
-#   3. model-checker smoke: exhaustive 2-site DFS, fixed-seed PCT batch, and
+#   3. examples: banking end to end (money conserved, no process left
+#      blocked, so the deadlock detector broke every deadlock)
+#   4. model-checker smoke: exhaustive 2-site DFS, fixed-seed PCT batch, and
 #      full crash-point enumeration of a 3-site commit (src/mc), plus a
 #      negative control that rediscovers + replays the seeded PR 3 race
-#   4. benchmark regression snapshot (scale table) + perf-gate: the fresh
+#   5. benchmark regression snapshot (scale table) + perf-gate: the fresh
 #      txn_per_s and msg/txn numbers must not regress beyond tolerance
 #      against the checked-in BENCH_scale.json baseline
-#   5. benchmark self-test (perfbench/selftest.py): the repository benchmark
+#   6. benchmark self-test (perfbench/selftest.py): the repository benchmark
 #      repeats itself, its traced and checked runs agree with the plain run,
 #      its correctness checks catch seeded damage, and every metric carries
 #      a unit and a clock
-#   6. chaos reliability scenarios with the runtime protocol auditor AND the
+#   7. chaos reliability scenarios with the runtime protocol auditor AND the
 #      outcome-level serializability certifier observing (--audit --serial:
 #      any 2PL / 2PC / shadow-page / serializability / recoverability /
 #      external-consistency / shared-state-race violation fails the run),
 #      plus a negative control that a seeded write-skew cycle fails the run
-#   7. UndefinedBehaviorSanitizer build + full test suite
-#   8. AddressSanitizer build + full test suite
-#   9. ThreadSanitizer build + full test suite
-# Stages 7-9 run the same fiber scheduler as the release build, with every
+#   8. UndefinedBehaviorSanitizer build + full test suite
+#   9. AddressSanitizer build + full test suite
+#  10. ThreadSanitizer build + full test suite
+# Stages 8-10 run the same fiber scheduler as the release build, with every
 # switch announced to ASan/TSan through the sanitizer fiber API.
 #
 # Build trees (build/, build-ubsan/, build-asan/, build-tsan/) are reused
@@ -59,6 +61,11 @@ cmake --build build -j "$JOBS"
 
 echo "=== ctest ==="
 (cd build && ctest --output-on-failure)
+
+echo "=== examples ==="
+# banking exits nonzero when its audit finds money lost or a process is left
+# blocked, i.e. when a deadlock between its transfers was not broken.
+./build/examples/banking
 
 # Every mc run below also certifies outcomes: RunScenario enables the
 # serializability certifier (src/serial) and its Certify() sweep is the

@@ -10,8 +10,7 @@
 #ifndef SRC_LOCK_DEADLOCK_H_
 #define SRC_LOCK_DEADLOCK_H_
 
-#include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lock/lock_manager.h"
@@ -30,15 +29,29 @@ class WaitForGraph {
   // largest pid.
   std::vector<LockOwner> SelectVictims() const;
 
-  int node_count() const { return static_cast<int>(adjacency_.size()); }
+  int node_count() const { return static_cast<int>(nodes_.size()); }
   int edge_count() const;
 
  private:
-  // Owners are keyed by a canonical string (transaction id or pid).
-  static std::string Key(const LockOwner& o);
+  // An owner's identity, the one ToString(LockOwner) encodes: its
+  // transaction, or its pid when it has none.
+  struct Key {
+    TxnId txn;
+    Pid pid = kNoPid;
+    friend auto operator<=>(const Key&, const Key&) = default;
+  };
+  struct Node {
+    LockOwner owner;       // As last seen in an edge.
+    std::vector<int> out;  // Distinct holders this owner waits for.
+  };
 
-  std::map<std::string, LockOwner> owners_;
-  std::map<std::string, std::vector<std::string>> adjacency_;
+  static Key KeyOf(const LockOwner& o);
+  // The node of `o`, added when new.
+  int NodeOf(const LockOwner& o);
+
+  std::vector<Node> nodes_;
+  // (key, node) sorted by key: lookups and a deterministic visiting order.
+  std::vector<std::pair<Key, int>> index_;
 };
 
 }  // namespace locus

@@ -6,7 +6,7 @@ namespace locus {
 
 void LockManager::Request(const FileId& file, const ByteRange& range, const LockOwner& owner,
                           LockMode mode, bool non_transaction, bool wait,
-                          GrantCallback callback, RangeFn recompute) {
+                          GrantCallback callback, RangeFn recompute, bool cross_site) {
   stats_->Add(ids_.requests);
   LockList& list = files_[file];
   ByteRange r = recompute ? recompute() : range;
@@ -25,8 +25,10 @@ void LockManager::Request(const FileId& file, const ByteRange& range, const Lock
     return;
   }
   stats_->Add(ids_.queued);
-  waiting_.push_back(Waiting{next_seq_++, file, r, owner, mode, non_transaction,
+  uint64_t seq = next_seq_++;
+  waiting_.push_back(Waiting{seq, file, r, owner, mode, non_transaction, cross_site,
                              std::move(callback), std::move(recompute)});
+  SignalWait(seq, cross_site);
 }
 
 void LockManager::Unlock(const FileId& file, const ByteRange& range, const LockOwner& owner) {
@@ -87,13 +89,18 @@ void LockManager::CancelWaiters(const LockOwner& owner) {
 
 void LockManager::RetryWaiters() {
   // FIFO scan; each grant can unblock later waiters, so loop to fixpoint.
+  bool moved = false;  // A queued append range moved: it may wait for new holders.
   bool progressed = true;
   while (progressed) {
     progressed = false;
     for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
       LockList& list = files_[it->file];
       if (it->recompute) {
-        it->range = it->recompute();
+        ByteRange range = it->recompute();
+        if (range != it->range) {
+          it->range = range;
+          moved = true;
+        }
       }
       if (list.CanGrant(it->range, it->owner, it->mode)) {
         list.Grant(it->range, it->owner, it->mode, it->non_transaction);
@@ -110,6 +117,9 @@ void LockManager::RetryWaiters() {
         break;  // The callback may have mutated state; restart the scan.
       }
     }
+  }
+  if (moved && !waiting_.empty()) {
+    SignalWait(0, false);
   }
 }
 
@@ -143,6 +153,22 @@ std::vector<WaitEdge> LockManager::WaitForEdges() const {
     }
   }
   return edges;
+}
+
+bool LockManager::IsQueued(uint64_t seq) const {
+  auto it = std::lower_bound(waiting_.begin(), waiting_.end(), seq,
+                             [](const Waiting& w, uint64_t s) { return w.seq < s; });
+  return it != waiting_.end() && it->seq == seq;
+}
+
+std::vector<uint64_t> LockManager::CrossSiteWaits() const {
+  std::vector<uint64_t> seqs;
+  for (const Waiting& w : waiting_) {
+    if (w.cross_site) {
+      seqs.push_back(w.seq);
+    }
+  }
+  return seqs;
 }
 
 LockList LockManager::TakeFileLocks(const FileId& file) {

@@ -45,6 +45,12 @@ class LockManager {
   // ("lock and extend") requests are interpreted relative to the end of file,
   // which may move while the request is queued.
   using RangeFn = std::function<ByteRange()>;
+  // Section 3.1 signal to the deadlock detector: this site's wait-for edges
+  // may have grown. `seq` names the request that queued (IsQueued tells
+  // whether it still waits) and `cross_site` is the requester's mark that its
+  // owner may hold locks at other sites. A queued append request whose range
+  // moved may wait for new holders: that signals with seq 0.
+  using WaitHook = std::function<void(uint64_t seq, bool cross_site)>;
 
   LockManager(TraceLog* trace, StatRegistry* stats, std::string site_name)
       : trace_(trace),
@@ -56,10 +62,11 @@ class LockManager {
   // Lock request. If it conflicts and `wait` is false the callback fires
   // immediately with false; with `wait` true it queues FIFO and fires when
   // granted or cancelled. When `recompute` is set it supplies the range for
-  // every grant attempt.
+  // every grant attempt. `cross_site` is passed to the wait hook if the
+  // request queues.
   void Request(const FileId& file, const ByteRange& range, const LockOwner& owner,
                LockMode mode, bool non_transaction, bool wait, GrantCallback callback,
-               RangeFn recompute = nullptr);
+               RangeFn recompute = nullptr, bool cross_site = false);
 
   // Explicit unlock (transaction locks become retained per rules 1-2).
   void Unlock(const FileId& file, const ByteRange& range, const LockOwner& owner);
@@ -84,6 +91,14 @@ class LockManager {
   // Kernel interface for deadlock detection (section 3.1: the kernel does not
   // detect deadlock; it exposes the data for a system process to do so).
   std::vector<WaitEdge> WaitForEdges() const;
+  void set_wait_hook(WaitHook hook) {
+    // hook-ok wiring of the detector's signal at construction, not lock state.
+    wait_hook_ = std::move(hook);
+  }
+  // True while the request `seq` (as passed to the wait hook) is queued.
+  bool IsQueued(uint64_t seq) const;
+  // The queued requests marked cross-site, in queue order.
+  std::vector<uint64_t> CrossSiteWaits() const;
 
   // Lock-table handoff when the primary storage site for a file moves
   // (replication, section 5.2).
@@ -114,12 +129,18 @@ class LockManager {
     LockOwner owner;
     LockMode mode;
     bool non_transaction;
+    bool cross_site;
     GrantCallback callback;
     RangeFn recompute;
   };
 
   // Grants whatever newly-compatible queued requests exist, FIFO.
   void RetryWaiters();
+  void SignalWait(uint64_t seq, bool cross_site) {
+    if (wait_hook_) {
+      wait_hook_(seq, cross_site);
+    }
+  }
 
   bool Audited() const { return audit_ != nullptr && audit_->enabled(); }
   // The FileIds this manager has lock lists for, for audit release hooks.
@@ -139,7 +160,8 @@ class LockManager {
   Ids ids_;
   uint64_t next_seq_ = 1;
   std::unordered_map<FileId, LockList, FileIdHash> files_;
-  std::deque<Waiting> waiting_;
+  std::deque<Waiting> waiting_;  // FIFO, so ascending seq.
+  WaitHook wait_hook_;
 };
 
 }  // namespace locus

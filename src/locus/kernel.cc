@@ -276,12 +276,6 @@ void Kernel::Start() {
     }
     r(MakeMsg(kTxnStatusReq, TxnStatusReply{static_cast<int>(status)}));
   });
-  net().RegisterHandler(site_, kWaitEdgesReq,
-                        [this](SiteId, const Message&, Responder r) {
-                          if (alive_ && r.valid()) {
-                            r(MakeMsg(kWaitEdgesReq, WaitEdgesReply{LocalWaitEdges()}));
-                          }
-                        });
   net().OnTopologyChange(site_, [this] { HandleTopologyChange(); });
 }
 
@@ -396,7 +390,7 @@ void Kernel::ServeLock(const LockRequest& req, std::function<void(LockReply)> do
                    }
                    done(grant);
                  },
-                 std::move(recompute));
+                 std::move(recompute), req.cross_site);
 }
 
 void Kernel::ServeUnlock(const UnlockRequest& req) {

@@ -151,6 +151,7 @@ class Kernel {
   std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
 
  private:
+  friend class DeadlockDetector;
   friend class System;
 
   // --- Infrastructure ---
@@ -192,6 +193,10 @@ class Kernel {
 
   // --- Requester-side helpers ---
   Result<ByteRange> RequestLock(OsProcess* p, Channel& ch, LockRequest req);
+  // The cross-site mark of a lock request (section 3.1 detector support):
+  // false only when `p`'s lock owner certainly holds no lock at a site other
+  // than `target`.
+  bool MayHoldLocksAwayFrom(OsProcess* p, SiteId target);
   Err ImplicitLock(OsProcess* p, Channel& ch, const ByteRange& range, LockMode mode);
   LockOwner OwnerOf(const OsProcess* p) const;
   Channel* ChannelFor(OsProcess* p, int fd);

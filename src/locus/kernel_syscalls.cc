@@ -469,6 +469,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   // Largest fetch the storage site is asked to piggyback on a grant: one
   // page's worth, matching the paper's "page arrives with the lock" unit.
   constexpr int64_t kMaxLockFetchBytes = 4096;
+  req.cross_site = MayHoldLocksAwayFrom(p, ch.storage_site);
   LockReply reply;
   if (IsLocal(ch.storage_site)) {
     BurnCpu(kLockServiceInstructions);
@@ -543,6 +544,7 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   }
   p->lock_cache[ch.file].Grant(reply.granted, req.owner, req.mode, req.non_transaction);
   p->lock_sites.insert(ch.storage_site);
+  p->txn_personal_locks = p->txn_personal_locks || (p->txn.valid() && req.non_transaction);
   if (reply.fetched) {
     // Data shipped with the grant: park it on the channel for the next read
     // of exactly this range (consume-once, invalidated by writes).
@@ -558,6 +560,28 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
   }
   stats().Add("sys.locks_granted");
   return {Err::kOk, reply.granted};
+}
+
+bool Kernel::MayHoldLocksAwayFrom(OsProcess* p, SiteId target) {
+  // lock_sites outlives transactions, so inside one it counts only once the
+  // transaction's owner took personal locks.
+  auto elsewhere = [target](SiteId s) { return s != target; };
+  if ((!p->txn.valid() || p->txn_personal_locks) &&
+      std::any_of(p->lock_sites.begin(), p->lock_sites.end(), elsewhere)) {
+    return true;
+  }
+  if (!p->txn.valid()) {
+    return false;  // A non-transaction owner is this process alone.
+  }
+  // Other members of the transaction may hold locks this process does not
+  // know of; exited members' files are merged into the record here.
+  const TxnRecord* record = p->txn_top_level ? txns_.Find(p->txn) : nullptr;
+  if (record == nullptr || record->active_members > 1) {
+    return true;
+  }
+  auto used_elsewhere = [target](const UsedFile& f) { return f.storage_site != target; };
+  return std::any_of(record->files.begin(), record->files.end(), used_elsewhere) ||
+         std::any_of(p->file_list.begin(), p->file_list.end(), used_elsewhere);
 }
 
 Err Kernel::ImplicitLock(OsProcess* p, Channel& ch, const ByteRange& range, LockMode mode) {

@@ -127,6 +127,7 @@ void Kernel::ClearTxnState(OsProcess* p) {
   p->txn_top_level = false;
   p->txn_aborted = false;
   p->txn_top_site_hint = kNoSite;
+  p->txn_personal_locks = false;
   p->file_list.clear();
   p->lock_cache.clear();
 }

@@ -58,6 +58,8 @@ const char* MsgTypeName(int32_t type) {
       return "replica-version-req";
     case kReplicaFetchReq:
       return "replica-fetch-req";
+    case kDeadlockReport:
+      return "deadlock-report";
     case kFormBatch:
       return "form-batch";
   }

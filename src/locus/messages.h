@@ -40,7 +40,8 @@ enum MsgType : int32_t {
   kKillProcessReq,
   // Replication (section 5.2).
   kReplicaPropagate,
-  // Deadlock detector support (section 3.1).
+  // Deadlock detector support (section 3.1): the poll of a site's wait-for
+  // edges (see also kDeadlockReport).
   kWaitEdgesReq,
   // Remote file lifecycle.
   kCreateFileReq,
@@ -57,6 +58,9 @@ enum MsgType : int32_t {
   // fetch used to bring a behind replica back to currency.
   kReplicaVersionReq,
   kReplicaFetchReq,
+  // A site's report to the deadlock detector that it has an aged cross-site
+  // wait (appended, so earlier types keep their numbers).
+  kDeadlockReport,
   // Formation batch envelope (src/form): several coalesced protocol messages
   // to one destination in one wire message. Pinned to a value well above the
   // dense range so new message types never collide with it; must match
@@ -119,6 +123,10 @@ struct LockRequest {
   // in the reply, saving the follow-up read exchange. Requesters only set
   // this when formation is on (the fused reply rides a batch envelope).
   int64_t fetch_bytes = 0;
+  // Deadlock detection (section 3.1): the owner may hold locks at a site
+  // other than the storage site, so a wait on this request may be part of a
+  // cross-site cycle. Set by the requesting kernel; unsure means true.
+  bool cross_site = false;
 };
 struct LockReply {
   Err err = Err::kOk;
@@ -207,6 +215,9 @@ struct ReplicaPropagateMsg {
 
 struct WaitEdgesReply {
   std::vector<WaitEdge> edges;
+  // The site still has a cross-site request queued longer than the
+  // detector's period; when false the detector stops polling it.
+  bool aged = false;
 };
 
 struct CreateFileRequest {

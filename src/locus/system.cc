@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "src/lock/deadlock.h"
+#include "src/locus/detector.h"
 
 namespace locus {
 
@@ -49,6 +49,7 @@ System::System(int num_sites, SystemOptions options)
     AddVolume(site);  // Root volume.
     kernels_[site]->Start();
   }
+  detector_ = std::make_unique<DeadlockDetector>(this);
 }
 
 System::~System() { StopDaemons(); }
@@ -86,6 +87,7 @@ void System::CrashSite(SiteId site) {
 void System::RebootSite(SiteId site) {
   net_.Reboot(site);
   kernels_[site]->OnReboot();
+  detector_->OnReboot(site);
 }
 
 void System::Partition(const std::vector<std::vector<SiteId>>& groups) {
@@ -115,33 +117,10 @@ OsProcess* System::Locate(Pid pid) {
 }
 
 void System::StartDeadlockDetector(SiteId site, SimTime period) {
-  daemons_running_ = true;
-  Kernel* kernel = kernels_[site].get();
-  kernel->SpawnKernelProcess("deadlock-detector", [this, site, kernel, period] {
-    while (daemons_running_ && net_.IsAlive(site)) {
-      WaitForGraph graph;
-      for (SiteId s = 0; s < site_count(); ++s) {
-        if (s == site) {
-          graph.AddEdges(kernel->LocalWaitEdges());
-        } else if (net_.Reachable(site, s)) {
-          RpcResult res = net_.Call(site, s, MakeMsg(kWaitEdgesReq, 0));
-          if (res.ok) {
-            graph.AddEdges(res.reply.As<WaitEdgesReply>().edges);
-          }
-        }
-      }
-      for (const LockOwner& victim : graph.SelectVictims()) {
-        if (victim.txn.valid()) {
-          stats_.Add("deadlock.victims");
-          trace_.Log(sim_.Now(), "detector", "aborting deadlock victim %s",
-                     ToString(victim.txn).c_str());
-          kernel->RouteAbort(victim.txn, "deadlock victim");
-        }
-      }
-      sim_.Sleep(period);
-    }
-  });
+  detector_->Start(site, period);
 }
+
+void System::StopDaemons() { detector_->Stop(); }
 
 // ---------------------------------------------------------------------------
 // Syscalls facade

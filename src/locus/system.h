@@ -23,6 +23,7 @@
 
 namespace locus {
 
+class DeadlockDetector;
 class Syscalls;
 
 struct SystemOptions {
@@ -97,11 +98,22 @@ class System {
   void Run() { sim_.Run(); }
   void RunFor(SimTime duration) { sim_.RunFor(duration); }
 
-  // Starts the user-level deadlock detection daemon (section 3.1) at `site`,
-  // polling every `period`. It runs until StopDaemons().
+  // Starts user-level deadlock detection (section 3.1), with its tier-2
+  // rounds at `site`; it runs until StopDaemons() and restarts at a rebooted
+  // site. Detection is event-driven in two tiers (src/locus/detector.h).
+  // Tier 1: a detector process at every site wakes when its lock manager
+  // queues a request, searches that site's wait-for edges at once, and
+  // aborts the youngest transaction of each cycle, locally when the victim's
+  // home is that site. Tier 2: a request whose owner may hold locks at
+  // another site is marked cross-site; one still queued after `period` makes
+  // its site report to `site`, which polls only the reporting sites, in
+  // rounds at least `period` apart. No cross-site cycle is missed: the first
+  // edge of each site's run of edges on such a cycle has a waiter holding a
+  // lock at the previous site, so every site on the cycle reports. An idle
+  // or purely local cluster sends no detector traffic.
   void StartDeadlockDetector(SiteId site, SimTime period);
-  void StopDaemons() { daemons_running_ = false; }
-  bool daemons_running() const { return daemons_running_; }
+  // Stops the detector; its parked processes exit.
+  void StopDaemons();
 
   // --- Cross-site registry helpers used by the kernels ---
   Pid AllocPid(SiteId site);
@@ -123,7 +135,7 @@ class System {
   std::vector<std::unique_ptr<Kernel>> kernels_;
   VolumeId next_volume_id_ = 0;
   Pid next_pid_ = 100;
-  bool daemons_running_ = true;
+  std::unique_ptr<DeadlockDetector> detector_;
 };
 
 // The process-facing API: Unix-style blocking syscalls plus the paper's

@@ -90,6 +90,9 @@ struct OsProcess {
   // Storage sites where this process may hold personal (non-transaction)
   // locks, released at exit.
   std::set<SiteId> lock_sites;
+  // A non-transaction lock was granted inside the current transaction; it
+  // belongs to the transaction's lock owner until the transaction ends.
+  bool txn_personal_locks = false;
   // Formation: primary-release hints for channels closed inside a still-open
   // transaction. They are only advisory while the transaction retains its
   // locks, so they wait here and ride the prepare envelopes at commit time.

@@ -229,7 +229,11 @@ void SimProcess::RunUntilParked() {
 // ---------------------------------------------------------------------------
 // WaitQueue
 
-void WaitQueue::Wait() {
+void WaitQueue::Wait() { Park(SimProcess::State::kBlocked); }
+
+void WaitQueue::WaitIdle() { Park(SimProcess::State::kIdle); }
+
+void WaitQueue::Park(SimProcess::State state) {
   SimProcess* self = Simulation::Current();
   assert(self != nullptr && "WaitQueue::Wait requires process context");
   if (self->cancelled_) {
@@ -237,7 +241,7 @@ void WaitQueue::Wait() {
     return;
   }
   waiters_.push_back(self->handle());
-  self->state_ = SimProcess::State::kBlocked;
+  self->state_ = state;
   self->YieldToScheduler();
 }
 
@@ -651,7 +655,7 @@ void Simulation::Sleep(SimTime duration) {
 SimProcess* Simulation::Current() { return g_current_process; }
 
 void Simulation::DumpProcesses() const {
-  static const char* kStateNames[] = {"ready", "running", "blocked", "finished"};
+  static const char* kStateNames[] = {"ready", "running", "blocked", "idle", "finished"};
   fprintf(stderr, "--- simulation processes at t=%lld us ---\n",
           static_cast<long long>(now_));
   for (const ProcessSlot& s : processes_) {

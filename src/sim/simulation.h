@@ -199,7 +199,9 @@ struct SimCancelled {};
 // wake-up event fires.
 class SimProcess {
  public:
-  enum class State { kReady, kRunning, kBlocked, kFinished };
+  // kIdle: parked by WaitQueue::WaitIdle, a daemon with no work. It needs a
+  // wake-up like kBlocked but is not a lost one when the event queue drains.
+  enum class State { kReady, kRunning, kBlocked, kIdle, kFinished };
 
   ~SimProcess();
   SimProcess(const SimProcess&) = delete;
@@ -261,6 +263,9 @@ class WaitQueue {
   // Parks the calling process until notified. Must be called from process
   // context.
   void Wait();
+  // Parks like Wait(), for a daemon that has nothing to do until notified:
+  // blocked_process_count() and the drain watchdog do not count it.
+  void WaitIdle();
 
   // Wakes the longest-waiting process, if any.
   void NotifyOne();
@@ -271,6 +276,8 @@ class WaitQueue {
   size_t size() const { return waiters_.size(); }
 
  private:
+  void Park(SimProcess::State state);
+
   Simulation* sim_;
   // Entries of processes killed while waiting stay until notified; the wake
   // then resolves to nothing, as a wake of a dead process always has.

@@ -183,13 +183,12 @@ DebitCreditResults DebitCreditWorkload::Execute() {
     results_.audited_total = total;
     results_.audit_complete = complete;
     audited_at = sys.system().sim().Now();
-    // Snapshot the traffic counters here, at audit completion: the long
-    // post-audit drain is idle except for deadlock-detector polling, which
-    // would otherwise dominate the per-transaction ratios below.
+    // Snapshot the traffic counters here, at audit completion, so the
+    // per-transaction ratios below cover the workload and nothing after it.
     messages_at_audit = system_->net().stats().Get("net.messages");
     log_forces_at_audit = system_->stats().Get("form.log_forces");
-    // The workload is done: stop the detector so the run ends at quiescence
-    // instead of polling an idle cluster until the hour below is up.
+    // The workload is done: stop the detector, so its processes exit and
+    // the run below ends at quiescence.
     system_->StopDaemons();
   });
 

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "src/locus/system.h"
 
 namespace locus {
@@ -168,6 +172,210 @@ TEST(DeadlockEndToEnd, NoFalsePositivesUnderPlainContention) {
   system.RunFor(Seconds(1));
   EXPECT_EQ(completed, 4);
   EXPECT_EQ(system.stats().Get("deadlock.victims"), 0);
+}
+
+// --- Event-driven detection: tier 1 breaks a cycle at one site the moment
+// it forms, without messages; tier 2 finds cross-site cycles from the reports
+// of aged cross-site waits. ---
+
+// Creates `path` (one record) at `site` and waits for it.
+void CreateAt(Syscalls& sys, SiteId site, const std::string& path) {
+  sys.Fork(site, [path](Syscalls& c) {
+    ASSERT_EQ(c.Creat(path), Err::kOk);
+    auto fd = c.Open(path, {.read = true, .write = true});
+    c.WriteString(fd.value, "RRRRRRRR");
+    c.Close(fd.value);
+  });
+  sys.WaitChildren();
+}
+
+// One contender of a two-file deadlock: locks `first`, holds it 100 ms, then
+// locks `second`. Records when the second request was made and returned.
+struct Contender {
+  Contender(std::string first_path, std::string second_path, SimTime start_delay)
+      : first(std::move(first_path)), second(std::move(second_path)), start(start_delay) {}
+
+  std::string first;
+  std::string second;
+  SimTime start;  // Delay before BeginTrans, so ids order by start.
+  std::function<void(Syscalls&)> before_second;  // Runs just before the second Lock.
+  SimTime asked_at = -1;
+  SimTime answered_at = -1;
+  Err second_err = Err::kOk;
+  bool committed = false;
+
+  void Run(Syscalls& sys) {
+    sys.Compute(start);
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto f1 = sys.Open(first, {.read = true, .write = true});
+    ASSERT_TRUE(f1.ok());
+    ASSERT_EQ(sys.Lock(f1.value, 8, LockOp::kExclusive).err, Err::kOk);
+    sys.Compute(Milliseconds(100));
+    auto f2 = sys.Open(second, {.read = true, .write = true});
+    ASSERT_TRUE(f2.ok());
+    if (before_second) {
+      before_second(sys);
+    }
+    asked_at = sys.system().sim().Now();
+    second_err = sys.Lock(f2.value, 8, LockOp::kExclusive, {.wait = true}).err;
+    answered_at = sys.system().sim().Now();
+    if (second_err != Err::kOk) {
+      return;  // The victim: its transaction was aborted under it.
+    }
+    sys.Close(f1.value);
+    sys.Close(f2.value);
+    committed = sys.EndTrans() == Err::kOk;
+  }
+};
+
+TEST(DeadlockEventDriven, LocalCycleBrokenWhenItFormsWithoutMessages) {
+  // Both transactions and both files live at site 0; the tier-2 rounds run
+  // at site 1 with a period far longer than the run needs.
+  System system(2);
+  Contender older{"/a", "/b", 0};
+  Contender younger{"/b", "/a", Milliseconds(10)};
+  system.Spawn(0, "setup", [&](Syscalls& sys) {
+    CreateAt(sys, 0, "/a");
+    CreateAt(sys, 0, "/b");
+    sys.Fork(0, [&](Syscalls& c) { older.Run(c); });
+    sys.Fork(0, [&](Syscalls& c) { younger.Run(c); });
+    sys.WaitChildren();
+  });
+  system.StartDeadlockDetector(1, Seconds(10));
+  system.RunFor(Seconds(5));
+
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
+  EXPECT_EQ(system.stats().Get("deadlock.local_victims"), 1);
+  EXPECT_TRUE(older.committed);
+  EXPECT_EQ(younger.second_err, Err::kAborted);
+  // The younger transaction's request closed the cycle; the abort answered
+  // it within the local lock service time, not at a later detector round.
+  EXPECT_GT(younger.asked_at, older.asked_at);
+  EXPECT_LT(younger.answered_at - younger.asked_at, Milliseconds(5));
+  EXPECT_EQ(system.net().stats().Get("net.messages"), 0);
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+}
+
+TEST(DeadlockEventDriven, CrossSiteCycleFoundWhenWaiterHoldsOnlyHomeLocks) {
+  // T1 (home S) locks /r at R, then waits at S for T3 (home S), which holds
+  // /s at S, its home, and waits at R for T1. T3 holds no lock away from
+  // its home, yet its wait at R is cross-site: it holds a lock at a site
+  // other than R. Both sites must report for the rounds to see the cycle.
+  constexpr SiteId kS = 0;
+  constexpr SiteId kR = 1;
+  System system(3);
+  Contender t1{"/r", "/s", 0};
+  Contender t3{"/s", "/r", Milliseconds(10)};
+  system.Spawn(kS, "setup", [&](Syscalls& sys) {
+    CreateAt(sys, kS, "/s");
+    CreateAt(sys, kR, "/r");
+    sys.Fork(kS, [&](Syscalls& c) { t1.Run(c); });
+    sys.Fork(kS, [&](Syscalls& c) { t3.Run(c); });
+    sys.WaitChildren();
+  });
+  system.StartDeadlockDetector(2, Milliseconds(100));
+  system.RunFor(Seconds(10));
+
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
+  EXPECT_EQ(system.stats().Get("deadlock.local_victims"), 0);
+  EXPECT_EQ(system.stats().Get("deadlock.reports"), 2);
+  EXPECT_GE(system.stats().Get("deadlock.rounds"), 1);
+  EXPECT_TRUE(t1.committed);
+  EXPECT_EQ(t3.second_err, Err::kAborted);
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+}
+
+TEST(DeadlockEventDriven, RequestQueuedDuringRouteAbortIsExamined) {
+  // Cycle 1 forms at S between two transactions whose home is R, so S's
+  // detector blocks in RouteAbort's call to R. Cycle 2, between two
+  // transactions of S, closes while that call is out; no request queues
+  // after it, so only a search after RouteAbort returns can break it.
+  constexpr SiteId kS = 0;
+  constexpr SiteId kR = 1;
+  System system(2);
+  SimTime cycle1_closing_at = -1;
+  Contender r_older{"/a", "/b", 0};
+  Contender r_younger{"/b", "/a", Milliseconds(10)};
+  r_younger.before_second = [&](Syscalls& sys) { cycle1_closing_at = sys.system().sim().Now(); };
+  Contender s_older{"/c", "/d", Milliseconds(20)};
+  Contender s_younger{"/d", "/c", Milliseconds(30)};
+  s_younger.before_second = [&](Syscalls& sys) {
+    while (cycle1_closing_at < 0) {
+      sys.Compute(Milliseconds(1));
+    }
+    // The remote request reaches S about 9 ms after it is made, and S's
+    // abort call to R returns about 15 ms after that.
+    sys.Compute(cycle1_closing_at + Milliseconds(15) - sys.system().sim().Now());
+  };
+  system.Spawn(kS, "setup", [&](Syscalls& sys) {
+    for (const char* path : {"/a", "/b", "/c", "/d"}) {
+      CreateAt(sys, kS, path);
+    }
+    sys.Fork(kR, [&](Syscalls& c) { r_older.Run(c); });
+    sys.Fork(kR, [&](Syscalls& c) { r_younger.Run(c); });
+    sys.Fork(kS, [&](Syscalls& c) { s_older.Run(c); });
+    sys.Fork(kS, [&](Syscalls& c) { s_younger.Run(c); });
+    sys.WaitChildren();
+  });
+  system.StartDeadlockDetector(kS, Seconds(10));
+  system.RunFor(Seconds(5));
+
+  EXPECT_EQ(system.stats().Get("deadlock.local_victims"), 2);
+  EXPECT_TRUE(r_older.committed);
+  EXPECT_EQ(r_younger.second_err, Err::kAborted);
+  EXPECT_TRUE(s_older.committed);
+  EXPECT_EQ(s_younger.second_err, Err::kAborted);
+  // Cycle 2 broke as soon as the detector was free again.
+  EXPECT_LT(s_younger.answered_at - s_younger.asked_at, Milliseconds(30));
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+}
+
+TEST(DeadlockEventDriven, IdleClusterSendsNothing) {
+  System system(4);
+  system.sim().set_drain_watchdog(DrainWatchdog::kFatal);
+  system.StartDeadlockDetector(0, Milliseconds(150));
+  // Parked detectors are not lost wake-ups, and hold no run open.
+  system.Run();
+  EXPECT_EQ(system.sim().Now(), 0);
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+  system.RunFor(Seconds(60));
+  EXPECT_EQ(system.net().stats().Get("net.messages"), 0);
+  EXPECT_EQ(system.stats().Get("deadlock.rounds"), 0);
+}
+
+TEST(DeadlockEventDriven, RestartsAfterStopDaemons) {
+  System system(2);
+  int before = system.sim().live_process_count();
+  system.StartDeadlockDetector(0, Milliseconds(150));
+  system.Run();
+  EXPECT_GT(system.sim().live_process_count(), before);
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().live_process_count(), before);  // Parked detectors exited.
+
+  // Started again, it breaks a deadlock.
+  Contender older{"/a", "/b", 0};
+  Contender younger{"/b", "/a", Milliseconds(10)};
+  system.Spawn(0, "setup", [&](Syscalls& sys) {
+    CreateAt(sys, 0, "/a");
+    CreateAt(sys, 0, "/b");
+    sys.Fork(0, [&](Syscalls& c) { older.Run(c); });
+    sys.Fork(0, [&](Syscalls& c) { younger.Run(c); });
+    sys.WaitChildren();
+  });
+  system.StartDeadlockDetector(0, Milliseconds(150));
+  system.RunFor(Seconds(5));
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
+  EXPECT_TRUE(older.committed);
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().live_process_count(), before);
 }
 
 // --- Queued waiters of a lost transaction: a foreign transaction queues a
