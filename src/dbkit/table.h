@@ -41,7 +41,6 @@ class Table {
 
   Err Open();
   void Close();
-  bool is_open() const { return fd_ >= 0; }
   int32_t record_bytes() const { return record_bytes_; }
 
   // Number of records (derived from the file size).

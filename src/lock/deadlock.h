@@ -29,7 +29,6 @@ class WaitForGraph {
   // largest pid.
   std::vector<LockOwner> SelectVictims() const;
 
-  int node_count() const { return static_cast<int>(nodes_.size()); }
   int edge_count() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "src/locus/detector.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/locus/system.h"
 
@@ -10,21 +11,14 @@ DeadlockDetector::DeadlockDetector(System* system)
     : system_(system), rounds_wake_(&system->sim()) {
   for (SiteId s = 0; s < system_->site_count(); ++s) {
     sites_.push_back(std::make_unique<Site>(&sim()));
-    reported_at_.push_back(kNotReporting);
     system_->kernel(s).lock_manager().set_wait_hook(
         [this, s](uint64_t seq, bool cross_site) { OnWait(s, seq, cross_site); });
-    Network& net = system_->net();
-    net.RegisterHandler(s, kWaitEdgesReq, [this, s](SiteId, const Message&, Responder r) {
-      if (system_->kernel(s).alive() && r.valid()) {
-        r(MakeMsg(kWaitEdgesReq, AnswerPoll(s)));
-      }
-    });
-    net.RegisterHandler(s, kDeadlockReport, [this, s](SiteId from, const Message&, Responder) {
-      if (running_ && s == site_ && system_->kernel(s).alive()) {
-        reported_at_[from] = sim().Now();
-        rounds_wake_.NotifyAll();
-      }
-    });
+    system_->net().RegisterHandler(
+        s, kDeadlockReport, [this, s](SiteId from, const Message& m, Responder) {
+          if (running_ && s == site_ && system_->kernel(s).alive()) {
+            ReceiveReport(from, m.As<DeadlockReport>().edges);
+          }
+        });
   }
 }
 
@@ -43,7 +37,6 @@ void DeadlockDetector::Start(SiteId site, SimTime period) {
     ResetSite(s);
     SpawnSite(s);
   }
-  std::fill(reported_at_.begin(), reported_at_.end(), kNotReporting);
   SpawnRounds();
 }
 
@@ -65,7 +58,6 @@ void DeadlockDetector::OnReboot(SiteId site) {
   ResetSite(site);
   SpawnSite(site);
   if (site == site_) {
-    std::fill(reported_at_.begin(), reported_at_.end(), kNotReporting);
     SpawnRounds();
   }
 }
@@ -74,8 +66,7 @@ void DeadlockDetector::ResetSite(SiteId s) {
   Site& d = *sites_[s];
   sim().Cancel(d.timer);
   d.timer = {};
-  d.reported = false;
-  d.heard_at = 0;
+  d.next_report = 0;
   d.routed.clear();
   // Requests already queued are searched now and age from now.
   d.dirty = true;
@@ -94,6 +85,8 @@ void DeadlockDetector::SpawnSite(SiteId s) {
 }
 
 void DeadlockDetector::SpawnRounds() {
+  reports_.assign(sites_.size(), Report{});
+  new_report_ = false;
   if (!system_->net().IsAlive(site_)) {
     return;  // Restarted by OnReboot.
   }
@@ -130,35 +123,28 @@ void DeadlockDetector::ArmTimer(SiteId s) {
   if (!running_ || d.cross_waits.empty()) {
     return;
   }
-  // Reported: look again once two periods pass without a poll. Otherwise
-  // when the oldest marked request ages.
-  SimTime at = d.reported ? d.heard_at + 2 * period_ : d.cross_waits.front().first;
-  d.timer = sim().ScheduleAt(at, [this, s] {
+  // When the oldest marked request ages, but at most once per period.
+  d.timer = sim().ScheduleAt(std::max(d.cross_waits.front().first, d.next_report), [this, s] {
     sites_[s]->timer = {};
     sites_[s]->wake.NotifyAll();
   });
 }
 
-void DeadlockDetector::Report(SiteId s) {
-  Site& d = *sites_[s];
-  d.reported = true;
-  d.heard_at = sim().Now();
+void DeadlockDetector::SendReport(SiteId s) {
+  sites_[s]->next_report = sim().Now() + period_;
   system_->stats().Add(ids_.reports);
+  std::vector<WaitEdge> edges = system_->kernel(s).LocalWaitEdges();
   if (s == site_) {
-    reported_at_[s] = sim().Now();
-    rounds_wake_.NotifyAll();
+    ReceiveReport(s, std::move(edges));
   } else {
-    system_->net().Send(s, site_, MakeMsg(kDeadlockReport, 0));
+    system_->net().Send(s, site_, MakeMsg(kDeadlockReport, DeadlockReport{std::move(edges)}));
   }
 }
 
-WaitEdgesReply DeadlockDetector::AnswerPoll(SiteId s) {
-  WaitEdgesReply reply{system_->kernel(s).LocalWaitEdges(), HasAgedWait(s)};
-  Site& d = *sites_[s];
-  d.reported = reply.aged;
-  d.heard_at = sim().Now();
-  ArmTimer(s);
-  return reply;
+void DeadlockDetector::ReceiveReport(SiteId from, std::vector<WaitEdge> edges) {
+  reports_[from] = Report{sim().Now(), std::move(edges)};
+  new_report_ = true;
+  rounds_wake_.NotifyAll();
 }
 
 void DeadlockDetector::RunSite(SiteId s, uint64_t generation) {
@@ -172,12 +158,8 @@ void DeadlockDetector::RunSite(SiteId s, uint64_t generation) {
       AbortVictims(kernel, graph, &d.routed, /*local=*/true);
       continue;
     }
-    bool aged = HasAgedWait(s);
-    if (d.reported && sim().Now() - d.heard_at >= 2 * period_) {
-      d.reported = false;  // Unpolled for two periods: the report was lost.
-    }
-    if (aged && !d.reported) {
-      Report(s);
+    if (HasAgedWait(s) && sim().Now() >= d.next_report) {
+      SendReport(s);
     }
     ArmTimer(s);
     d.wake.WaitIdle();
@@ -186,10 +168,8 @@ void DeadlockDetector::RunSite(SiteId s, uint64_t generation) {
 
 void DeadlockDetector::RunRounds(SiteId site, uint64_t generation) {
   Kernel& kernel = system_->kernel(site);
-  Network& net = system_->net();
   while (Live(generation)) {
-    if (std::all_of(reported_at_.begin(), reported_at_.end(),
-                    [](SimTime t) { return t == kNotReporting; })) {
+    if (!new_report_) {
       rounds_wake_.WaitIdle();
       continue;
     }
@@ -197,29 +177,12 @@ void DeadlockDetector::RunRounds(SiteId site, uint64_t generation) {
       sim().Sleep(last_round_ + period_ - sim().Now());
       continue;
     }
+    new_report_ = false;
     system_->stats().Add(ids_.rounds);
     WaitForGraph graph;
-    for (SiteId s = 0; s < system_->site_count(); ++s) {
-      if (reported_at_[s] == kNotReporting) {
-        continue;
-      }
-      SimTime asked_at = sim().Now();
-      WaitEdgesReply reply;
-      if (s == site) {
-        reply = AnswerPoll(s);
-      } else if (net.Reachable(site, s)) {
-        RpcResult res = net.Call(site, s, MakeMsg(kWaitEdgesReq, 0));
-        if (!Live(generation)) {
-          return;
-        }
-        if (res.ok) {
-          reply = res.reply.As<WaitEdgesReply>();
-        }
-      }
-      graph.AddEdges(reply.edges);
-      // A report that arrived while the poll was out keeps the site polled.
-      if (!reply.aged && reported_at_[s] < asked_at) {
-        reported_at_[s] = kNotReporting;
+    for (const Report& report : reports_) {
+      if (sim().Now() - report.at < 2 * period_) {
+        graph.AddEdges(report.edges);
       }
     }
     AbortVictims(kernel, graph, &routed_, /*local=*/false);
@@ -229,8 +192,9 @@ void DeadlockDetector::RunRounds(SiteId site, uint64_t generation) {
 
 void DeadlockDetector::AbortVictims(Kernel& kernel, const WaitForGraph& graph,
                                     std::vector<RoutedVictim>* routed, bool local) {
+  SimTime skip = kVictimSkipPeriods * period_;
   std::erase_if(*routed,
-                [this](const RoutedVictim& v) { return sim().Now() - v.at >= period_; });
+                [this, skip](const RoutedVictim& v) { return sim().Now() - v.at >= skip; });
   for (const LockOwner& victim : graph.SelectVictims()) {
     if (!victim.txn.valid() ||
         std::any_of(routed->begin(), routed->end(),

@@ -10,21 +10,23 @@
 //   detector, which searches that site's edges at once and aborts victims
 //   through RouteAbort (locally when the victim's home is that site). A
 //   site-local deadlock breaks the moment it forms, and costs no message.
-// - Tier 2, across sites. A marked request still queued `period` after it
-//   queued makes its site report to the detector site. That site polls only
-//   the reporting sites, each until a poll finds no aged marked request left
-//   there, in rounds that start at least `period` after the last one ended.
+// - Tier 2, across sites. While a site has a marked request queued longer
+//   than `period`, it sends its wait-for edges to the detector site once per
+//   period. A report wakes a round there, at most one per period, which
+//   searches the union of each site's latest report from the last two
+//   periods. Each such site costs one message per period.
 //
-// Tier 2 misses no cross-site cycle. Group the edges of such a cycle into
-// runs at one site: the first edge of each run has a waiter that holds a lock
-// at the previous run's site, so that request is marked (the marking errs
-// towards true). It stays queued while the cycle lasts, so every site on the
-// cycle reports and stays polled, and the first round after the last of those
-// requests ages sees the whole cycle. A cycle whose edges all lie at one site
-// closes when a request queues there, which tier 1 sees, except when a
-// transaction gets a lock while another of its processes waits at that site;
-// such a waiter is marked, since a transaction with several processes always
-// is, and tier 2 finds the cycle in that site's edges.
+// Tier 2 misses no cross-site cycle. Cut it into runs of edges at one site:
+// the first edge of each run has a waiter holding a lock at the previous
+// run's site, so that request is marked (marking errs towards true) and stays
+// queued while the cycle lasts. Its site sends the cycle's edges every
+// period, so the first round after the last such request ages sees the whole
+// cycle. Under strict 2PL an edge stays true until its holder or waiter ends,
+// so edges up to two periods old make no phantom cycle except around aborts,
+// which the victim skip covers. A single-site cycle closes when a request
+// queues, which tier 1 sees, unless a transaction gets a lock while another
+// of its processes waits there; that waiter is marked (a transaction with
+// several processes always is), so tier 2 finds the cycle.
 
 #ifndef SRC_LOCUS_DETECTOR_H_
 #define SRC_LOCUS_DETECTOR_H_
@@ -76,12 +78,15 @@ class DeadlockDetector {
     // Marked requests queued here: (time it ages, lock-manager seq), in
     // queue order and so in time order.
     std::deque<std::pair<SimTime, uint64_t>> cross_waits;
-    EventId timer;          // Wakes the process when an entry ages.
-    bool reported = false;  // Reported, and polled within two periods since.
-    SimTime heard_at = 0;   // Last report or answered poll.
+    EventId timer;             // Wakes the process when it may report.
+    SimTime next_report = 0;   // A period after the last report.
     std::vector<RoutedVictim> routed;
   };
-  static constexpr SimTime kNotReporting = -1;
+  // A site's latest report, as the detector site received it.
+  struct Report {
+    SimTime at = 0;
+    std::vector<WaitEdge> edges;
+  };
 
   Simulation& sim();
   bool Live(uint64_t generation) const { return running_ && generation == generation_; }
@@ -95,9 +100,13 @@ class DeadlockDetector {
   // Drops entries no longer queued; true if a remaining one has aged.
   bool HasAgedWait(SiteId s);
   void ArmTimer(SiteId s);
-  void Report(SiteId s);
-  WaitEdgesReply AnswerPoll(SiteId s);
-  // Aborts one victim per cycle, skipping those routed within a period.
+  // Sends site s's edges to the detector site, which keeps them in reports_.
+  void SendReport(SiteId s);
+  void ReceiveReport(SiteId from, std::vector<WaitEdge> edges);
+  // A victim is skipped for three periods after it is routed: one for its
+  // abort to reach every site, two for the reports sent meanwhile to expire.
+  static constexpr int kVictimSkipPeriods = 3;
+  // Aborts one victim per cycle, skipping those routed recently.
   void AbortVictims(Kernel& kernel, const WaitForGraph& graph,
                     std::vector<RoutedVictim>* routed, bool local);
 
@@ -109,8 +118,9 @@ class DeadlockDetector {
   std::vector<std::unique_ptr<Site>> sites_;
   // The tier-2 rounds at site_.
   WaitQueue rounds_wake_;
-  std::vector<SimTime> reported_at_;  // Each site's last report, or kNotReporting.
-  SimTime last_round_ = 0;            // When the last round ended.
+  std::vector<Report> reports_;  // By reporting site.
+  bool new_report_ = false;      // A report arrived since the last round.
+  SimTime last_round_ = 0;       // When the last round ended.
   std::vector<RoutedVictim> routed_;
   struct Ids {
     StatRegistry::StatId victims;

@@ -258,15 +258,17 @@ void Kernel::Start() {
       return;
     }
     const TxnId& txn = m.As<TxnStatusRequest>().txn;
-    // Presumed abort unless the STABLE coordinator log says otherwise (the
-    // volatile index may not be rebuilt yet right after a reboot) or the
-    // transaction is still active here / migrated elsewhere.
+    // Presumed abort unless the stable coordinator log says otherwise (the
+    // index is whole whenever the site serves: OnReboot fills it first) or
+    // the transaction is still active here / migrated elsewhere.
     TxnStatus status = TxnStatus::kAborted;
-    for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-      if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
-        if (coord->txn == txn) {
+    auto index_it = coordinator_log_index_.find(txn);
+    if (index_it != coordinator_log_index_.end()) {
+      const auto& log = volumes_[0]->stable_log();
+      auto log_it = log.find(index_it->second);
+      if (log_it != log.end()) {
+        if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload)) {
           status = coord->status;
-          break;
         }
       }
     }

@@ -124,7 +124,6 @@ class Kernel {
   // program). Returns its pid.
   Pid StartProcess(const std::string& name, std::function<void(OsProcess*)> body);
 
-  OsProcess* FindProcess(Pid pid) { return procs_.Find(pid); }
   ProcessTable& process_table() { return procs_; }
   LockManager& lock_manager() { return locks_; }
   TransactionManager& txn_manager() { return txns_; }

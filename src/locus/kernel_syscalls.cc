@@ -543,7 +543,9 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
     return {Err::kAborted, {}};
   }
   p->lock_cache[ch.file].Grant(reply.granted, req.owner, req.mode, req.non_transaction);
-  p->lock_sites.insert(ch.storage_site);
+  if (req.non_transaction || !p->txn.valid()) {
+    p->lock_sites.insert(ch.storage_site);  // A personal lock (see OsProcess).
+  }
   p->txn_personal_locks = p->txn_personal_locks || (p->txn.valid() && req.non_transaction);
   if (reply.fetched) {
     // Data shipped with the grant: park it on the channel for the next read
@@ -563,8 +565,9 @@ Result<ByteRange> Kernel::RequestLock(OsProcess* p, Channel& ch, LockRequest req
 }
 
 bool Kernel::MayHoldLocksAwayFrom(OsProcess* p, SiteId target) {
-  // lock_sites outlives transactions, so inside one it counts only once the
-  // transaction's owner took personal locks.
+  // Inside a transaction, lock_sites names the transaction owner's sites only
+  // once it took personal locks; before that, only sites of locks taken
+  // outside it, by another owner.
   auto elsewhere = [target](SiteId s) { return s != target; };
   if ((!p->txn.valid() || p->txn_personal_locks) &&
       std::any_of(p->lock_sites.begin(), p->lock_sites.end(), elsewhere)) {

@@ -22,6 +22,17 @@ void AddUniqueFiles(std::vector<UsedFile>& dest, const std::vector<UsedFile>& sr
   }
 }
 
+// The storage sites of `files`, each once, in first-use order.
+std::vector<SiteId> ParticipantSites(const std::vector<UsedFile>& files) {
+  std::vector<SiteId> sites;
+  for (const UsedFile& f : files) {
+    if (std::find(sites.begin(), sites.end(), f.storage_site) == sites.end()) {
+      sites.push_back(f.storage_site);
+    }
+  }
+  return sites;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -151,13 +162,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   }
   BurnCpu(kTwoPhaseCommitInstructions);
   record->phase = TxnRecord::Phase::kPreparing;
-  std::vector<SiteId> participants;
-  for (const UsedFile& f : record->files) {
-    if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-        participants.end()) {
-      participants.push_back(f.storage_site);
-    }
-  }
+  std::vector<SiteId> participants = ParticipantSites(record->files);
   std::sort(participants.begin(), participants.end());
 
   // Step 1: the coordinator log, naming every file and storage site, with the
@@ -490,16 +495,26 @@ void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
     return;  // Stale kill; the process moved on.
   }
   sim().Kill(p->sim_process);
-  for (SiteId s : p->lock_sites) {
+  // The member may hold (or be queued for) transaction locks at sites the
+  // abort cascade did not visit — its file-list never merged. Clear them at
+  // every site it used in the transaction, and its personal locks too.
+  std::set<SiteId> sites = p->lock_sites;
+  for (const UsedFile& f : p->file_list) {
+    sites.insert(f.storage_site);
+  }
+  for (SiteId s : sites) {
+    bool personal = p->lock_sites.count(s) != 0;
     if (IsLocal(s)) {
-      ServeReleaseProcess(pid);
+      if (personal) {
+        ServeReleaseProcess(pid);
+      }
       SpawnKernelProcess("abort-locks", [this, txn] { ServeAbortTxnAtSite(txn); });
     } else {
       // Back-to-back control messages to one site: the formation queue turns
       // these into a single wire message when enabled.
-      form().Send(s, MakeMsg(kReleaseProcessReq, ReleaseProcessRequest{pid}));
-      // The member may hold (or be queued for) transaction locks at sites the
-      // abort cascade did not visit — its file-list never merged. Clear them.
+      if (personal) {
+        form().Send(s, MakeMsg(kReleaseProcessReq, ReleaseProcessRequest{pid}));
+      }
       form().Send(s, MakeMsg(kAbortTxnAtSiteReq, AbortTxnAtSiteRequest{txn}));
     }
   }
@@ -731,14 +746,7 @@ void Kernel::HandleTopologyChange() {
     }
     const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload);
     if (coord != nullptr && coord->status == TxnStatus::kCommitted) {
-      std::vector<SiteId> participants;
-      for (const UsedFile& f : coord->files) {
-        if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-            participants.end()) {
-          participants.push_back(f.storage_site);
-        }
-      }
-      SpawnPhaseTwo(txn, participants, log_id);
+      SpawnPhaseTwo(txn, ParticipantSites(coord->files), log_id);
     }
   }
   // Presumed-abort inquiry: a prepared participant whose coordinator rebooted
@@ -888,25 +896,21 @@ void Kernel::OnReboot() {
       }
       v->RecoverAllocation(live);
     }
-    // Volatile indexes are rebuilt: service can resume.
-    alive_ = true;
-    // Coordinator-side recovery: every retained coordinator log is replayed —
-    // committed transactions re-enter phase two, others are aborted.
+    // The coordinator index answers status queries, so it is whole before
+    // service resumes, even while the aborts below block.
     std::vector<std::pair<uint64_t, CoordinatorLogRecord>> coords;
     for (const auto& [id, rec] : volumes_[0]->stable_log()) {
       if (const auto* c = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
         coords.push_back({id, *c});
+        coordinator_log_index_[c->txn] = id;
       }
     }
+    // Volatile indexes are rebuilt: service can resume.
+    alive_ = true;
+    // Coordinator-side recovery: every retained coordinator log is replayed —
+    // committed transactions re-enter phase two, others are aborted.
     for (auto& [log_id, coord] : coords) {
-      coordinator_log_index_[coord.txn] = log_id;
-      std::vector<SiteId> participants;
-      for (const UsedFile& f : coord.files) {
-        if (std::find(participants.begin(), participants.end(), f.storage_site) ==
-            participants.end()) {
-          participants.push_back(f.storage_site);
-        }
-      }
+      std::vector<SiteId> participants = ParticipantSites(coord.files);
       if (coord.status == TxnStatus::kCommitted) {
         Trace("recovery: re-driving commit of %s", ToString(coord.txn).c_str());
         SpawnPhaseTwo(coord.txn, participants, log_id);

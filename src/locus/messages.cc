@@ -42,8 +42,6 @@ const char* MsgTypeName(int32_t type) {
       return "kill-process-req";
     case kReplicaPropagate:
       return "replica-propagate";
-    case kWaitEdgesReq:
-      return "wait-edges-req";
     case kCreateFileReq:
       return "create-file-req";
     case kRemoveFileReq:

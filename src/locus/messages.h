@@ -40,11 +40,9 @@ enum MsgType : int32_t {
   kKillProcessReq,
   // Replication (section 5.2).
   kReplicaPropagate,
-  // Deadlock detector support (section 3.1): the poll of a site's wait-for
-  // edges (see also kDeadlockReport).
-  kWaitEdgesReq,
-  // Remote file lifecycle.
-  kCreateFileReq,
+  // Remote file lifecycle. 16 was the retired deadlock-detector poll; the
+  // types after it keep their numbers.
+  kCreateFileReq = 17,
   kRemoveFileReq,
   // Participant recovery: ask the coordinator for a transaction's outcome
   // (presumed abort when no coordinator log exists).
@@ -58,8 +56,8 @@ enum MsgType : int32_t {
   // fetch used to bring a behind replica back to currency.
   kReplicaVersionReq,
   kReplicaFetchReq,
-  // A site's report to the deadlock detector that it has an aged cross-site
-  // wait (appended, so earlier types keep their numbers).
+  // Deadlock detection (section 3.1): a site's wait-for edges, pushed to the
+  // detector site once per period while it has an aged cross-site wait.
   kDeadlockReport,
   // Formation batch envelope (src/form): several coalesced protocol messages
   // to one destination in one wire message. Pinned to a value well above the
@@ -67,6 +65,8 @@ enum MsgType : int32_t {
   // kFormBatchMsgType (static_assert in kernel.cc).
   kFormBatch = 64,
 };
+static_assert(kReplicaPropagate == 15 && kDeadlockReport == 24,
+              "message types keep their wire numbers");
 
 // Wire size of a control message (header plus a small payload); data-bearing
 // messages add their byte count to it.
@@ -213,11 +213,8 @@ struct ReplicaPropagateMsg {
   std::vector<std::pair<int32_t, PageRef>> pages;
 };
 
-struct WaitEdgesReply {
+struct DeadlockReport {
   std::vector<WaitEdge> edges;
-  // The site still has a cross-site request queued longer than the
-  // detector's period; when false the detector stops polling it.
-  bool aged = false;
 };
 
 struct CreateFileRequest {

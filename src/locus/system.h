@@ -105,12 +105,14 @@ class System {
   // queues a request, searches that site's wait-for edges at once, and
   // aborts the youngest transaction of each cycle, locally when the victim's
   // home is that site. Tier 2: a request whose owner may hold locks at
-  // another site is marked cross-site; one still queued after `period` makes
-  // its site report to `site`, which polls only the reporting sites, in
-  // rounds at least `period` apart. No cross-site cycle is missed: the first
-  // edge of each site's run of edges on such a cycle has a waiter holding a
-  // lock at the previous site, so every site on the cycle reports. An idle
-  // or purely local cluster sends no detector traffic.
+  // another site is marked cross-site; while one has been queued longer than
+  // `period`, its site sends its wait-for edges to `site` once per period,
+  // and `site` searches the union of the latest reports from the last two
+  // periods in rounds at least `period` apart. No cross-site cycle is
+  // missed: the first edge of each site's run of edges on such a cycle has a
+  // waiter holding a lock at the previous site, so every site on the cycle
+  // keeps reporting. An idle or purely local cluster sends no detector
+  // traffic.
   void StartDeadlockDetector(SiteId site, SimTime period);
   // Stops the detector; its parked processes exit.
   void StopDaemons();

@@ -87,8 +87,10 @@ struct OsProcess {
   // Files this process has modified outside any transaction; the base Locus
   // single-file commit runs for them at close.
   std::set<FileId> nontxn_dirty;
-  // Storage sites where this process may hold personal (non-transaction)
-  // locks, released at exit.
+  // Storage sites where this process may hold personal locks: every lock it
+  // took outside a transaction, and non-transaction locks it took inside
+  // one. Exit releases its personal locks there. Sites of transaction locks
+  // are not listed: the transaction's end releases those.
   std::set<SiteId> lock_sites;
   // A non-transaction lock was granted inside the current transaction; it
   // belongs to the transaction's lock owner until the transaction ends.

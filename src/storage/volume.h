@@ -88,7 +88,6 @@ class Volume {
   // default; with it off the I/O pattern is bit-identical to the historical
   // one-force-per-record behavior.
   void EnableGroupCommit(Simulation* sim);
-  bool group_commit_enabled() const { return sim_ != nullptr; }
 
   // --- Page allocation (in-memory bitmap; durability via recovery rebuild) ---
   PageId AllocPage();
@@ -105,7 +104,6 @@ class Volume {
   void FreeInode(Ino ino);
   // Stable-state peek for tests/recovery planning; no I/O charged.
   const DiskInode* PeekInode(Ino ino) const;
-  const std::map<Ino, DiskInode>& stable_inodes() const { return inodes_; }
 
   // --- Log region (blocking, process context) ---
   // Force discipline for a log mutation. kForce blocks until the record is on

@@ -175,8 +175,8 @@ TEST(DeadlockEndToEnd, NoFalsePositivesUnderPlainContention) {
 }
 
 // --- Event-driven detection: tier 1 breaks a cycle at one site the moment
-// it forms, without messages; tier 2 finds cross-site cycles from the reports
-// of aged cross-site waits. ---
+// it forms, without messages; tier 2 finds cross-site cycles in the wait-for
+// edges that sites with aged cross-site waits push once per period. ---
 
 // Creates `path` (one record) at `site` and waits for it.
 void CreateAt(Syscalls& sys, SiteId site, const std::string& path) {
@@ -280,13 +280,104 @@ TEST(DeadlockEventDriven, CrossSiteCycleFoundWhenWaiterHoldsOnlyHomeLocks) {
 
   EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
   EXPECT_EQ(system.stats().Get("deadlock.local_victims"), 0);
-  EXPECT_EQ(system.stats().Get("deadlock.reports"), 2);
+  // S reports when T1's wait there ages, and the round that report wakes
+  // sees only S's edges, since T3's wait at R ages 9 ms later. Each site
+  // reports again a period later; the next round sees the cycle and aborts
+  // T3, whose wait at R is still queued when R's second report leaves.
+  EXPECT_EQ(system.stats().Get("deadlock.reports"), 4);
   EXPECT_GE(system.stats().Get("deadlock.rounds"), 1);
   EXPECT_TRUE(t1.committed);
   EXPECT_EQ(t3.second_err, Err::kAborted);
   system.StopDaemons();
   system.Run();
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
+}
+
+TEST(DeadlockEventDriven, CrossSiteCycleBrokenAfterDetectorSiteHeals) {
+  // The cycle of the test above forms while the detector site D is
+  // partitioned from S and R, so every report is lost. After the heal, each
+  // site's next report leaves within a period, and the round that sees the
+  // later of the two runs within a period of its arrival: the victim is
+  // chosen within two periods and a message latency.
+  constexpr SiteId kS = 0;
+  constexpr SiteId kR = 1;
+  constexpr SiteId kD = 2;
+  constexpr SimTime kPeriod = Milliseconds(100);
+  System system(3);
+  Contender t1{"/r", "/s", 0};
+  Contender t3{"/s", "/r", Milliseconds(10)};
+  system.Spawn(kS, "setup", [&](Syscalls& sys) {
+    CreateAt(sys, kS, "/s");
+    CreateAt(sys, kR, "/r");
+    sys.Fork(kS, [&](Syscalls& c) { t1.Run(c); });
+    sys.Fork(kS, [&](Syscalls& c) { t3.Run(c); });
+    sys.WaitChildren();
+  });
+  system.Partition({{kS, kR}, {kD}});
+  system.StartDeadlockDetector(kD, kPeriod);
+  system.RunFor(Seconds(2));
+  EXPECT_GT(system.stats().Get("deadlock.reports"), 10);
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 0);
+  EXPECT_LT(t3.answered_at, 0);  // Still waiting.
+
+  system.HealPartitions();
+  system.RunFor(2 * kPeriod);
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
+  system.RunFor(Seconds(5));
+  EXPECT_EQ(system.stats().Get("deadlock.victims"), 1);
+  EXPECT_TRUE(t1.committed);
+  EXPECT_EQ(t3.second_err, Err::kAborted);
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+}
+
+// Runs one cross-site wait that ages but closes no cycle: T1 (home S) holds
+// /r at R for a second while T2 (home S), holding /s at S, queues for /r at
+// R. With the detector at D, R reports once per period while T2 waits.
+struct AgedWaitRun {
+  int64_t messages = 0;
+  int64_t reports = 0;
+  int64_t victims = 0;
+  bool committed = false;
+};
+
+AgedWaitRun RunAgedCrossSiteWait(bool detector) {
+  constexpr SiteId kS = 0;
+  constexpr SiteId kR = 1;
+  constexpr SiteId kD = 2;
+  System system(3);
+  Contender t1{"/r", "/r2", 0};
+  t1.before_second = [](Syscalls& sys) { sys.Compute(Seconds(1)); };
+  Contender t2{"/s", "/r", Milliseconds(10)};
+  system.Spawn(kS, "setup", [&](Syscalls& sys) {
+    CreateAt(sys, kS, "/s");
+    CreateAt(sys, kR, "/r");
+    CreateAt(sys, kR, "/r2");
+    sys.Fork(kS, [&](Syscalls& c) { t1.Run(c); });
+    sys.Fork(kS, [&](Syscalls& c) { t2.Run(c); });
+    sys.WaitChildren();
+  });
+  if (detector) {
+    system.StartDeadlockDetector(kD, Milliseconds(100));
+  }
+  system.RunFor(Seconds(10));
+  system.StopDaemons();
+  system.Run();
+  EXPECT_EQ(system.sim().blocked_process_count(), 0);
+  return AgedWaitRun{system.net().stats().Get("net.messages"),
+                     system.stats().Get("deadlock.reports"),
+                     system.stats().Get("deadlock.victims"), t1.committed && t2.committed};
+}
+
+TEST(DeadlockEventDriven, DetectorTrafficIsOneMessagePerReport) {
+  AgedWaitRun without = RunAgedCrossSiteWait(false);
+  AgedWaitRun with = RunAgedCrossSiteWait(true);
+  EXPECT_TRUE(without.committed);
+  EXPECT_TRUE(with.committed);
+  EXPECT_GE(with.reports, 5);  // T2 waits about 1.1 s with a 100 ms period.
+  EXPECT_EQ(with.victims, 0);
+  EXPECT_EQ(with.messages - without.messages, with.reports);
 }
 
 TEST(DeadlockEventDriven, RequestQueuedDuringRouteAbortIsExamined) {

@@ -159,6 +159,63 @@ TEST_F(ProcessTest, ExitReleasesPersonalLocks) {
   EXPECT_GT(second_granted, 0);
 }
 
+TEST_F(ProcessTest, ExitAfterOnlyTransactionLocksSendsNothing) {
+  // The transaction's locks at site 1 were released at commit, so exit has
+  // no personal lock to release there.
+  int64_t before_exit = -1;
+  system_.Spawn(0, "setup", [&](Syscalls& sys) {
+    sys.Fork(1, [](Syscalls& c) {
+      ASSERT_EQ(c.Creat("/remote"), Err::kOk);
+      auto fd = c.Open("/remote", {.read = true, .write = true});
+      c.WriteString(fd.value, "contents!");
+      c.Close(fd.value);
+    });
+    sys.WaitChildren();
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    auto fd = sys.Open("/remote", {.read = true, .write = true});
+    ASSERT_EQ(sys.Lock(fd.value, 9, LockOp::kExclusive).err, Err::kOk);
+    sys.WriteString(fd.value, "committed");
+    sys.Close(fd.value);
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);
+    sys.Compute(Seconds(2));  // Commit traffic settles.
+    before_exit = sys.system().net().stats().Get("net.messages");
+  });
+  RunAll();
+  EXPECT_GT(before_exit, 0);
+  EXPECT_EQ(system_.net().stats().Get("net.messages"), before_exit);
+}
+
+TEST_F(ProcessTest, AbortedMembersLockAtThirdSiteIsReleased) {
+  // A member at site 1 locks a file at site 2 and is killed by its
+  // transaction's abort before its file-list merges, so the abort cascade
+  // from site 0 does not visit site 2; the kill must release the lock.
+  bool later_granted = false;
+  system_.Spawn(0, "top", [&](Syscalls& sys) {
+    sys.Fork(2, [](Syscalls& c) {
+      ASSERT_EQ(c.Creat("/third"), Err::kOk);
+      auto fd = c.Open("/third", {.read = true, .write = true});
+      c.WriteString(fd.value, "contents!");
+      c.Close(fd.value);
+    });
+    sys.WaitChildren();
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    sys.Fork(1, [](Syscalls& member) {
+      auto fd = member.Open("/third", {.read = true, .write = true});
+      ASSERT_EQ(member.Lock(fd.value, 9, LockOp::kExclusive).err, Err::kOk);
+      member.Compute(Seconds(10));  // Killed by the abort meanwhile.
+    });
+    sys.Compute(Seconds(1));
+    sys.AbortTrans();
+    sys.WaitChildren();
+    sys.Compute(Milliseconds(500));
+    auto fd = sys.Open("/third", {.read = true, .write = true});
+    later_granted = sys.Lock(fd.value, 9, LockOp::kExclusive, {.wait = false}).err == Err::kOk;
+    sys.Close(fd.value);
+  });
+  RunAll();
+  EXPECT_TRUE(later_granted);
+}
+
 TEST_F(ProcessTest, OrphanedParentUnblocksWhenChildSiteCrashes) {
   bool parent_returned = false;
   system_.Spawn(0, "parent", [&](Syscalls& sys) {
