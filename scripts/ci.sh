@@ -46,8 +46,8 @@ timeout 10 python3 scripts/locus_analyze
 FIXTURE_OUT="$(timeout 10 python3 scripts/locus_analyze scripts/lint_fixture 2>/dev/null)" \
   && { echo "locus_analyze failed to flag the seeded fixture violations" >&2; exit 1; }
 for rule in nondeterminism "hash-order iteration" "stat counter" "decision point" \
-    "formation bypass" "message type name" "non-exhaustive switch" \
-    "hook coverage" "obligation pairing" "bare suppression"; do
+    "formation bypass" "non-exhaustive switch" "hook coverage" \
+    "obligation pairing" "bare suppression"; do
   if ! grep -q "$rule" <<<"$FIXTURE_OUT"; then
     echo "locus_analyze no longer detects the seeded '$rule' violation" >&2
     exit 1

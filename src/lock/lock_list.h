@@ -15,7 +15,7 @@
 // ranges (Grant carves the holder's previous entries before inserting).
 // Conflict checks therefore touch one bucket per *other* holder and binary
 // search within it, instead of scanning a flat list of every entry on the
-// file. `NaiveLockList` (naive_lock_list.h) retains the original flat-vector
+// file. `NaiveLockList` (tests/naive_lock_list.h) retains the original flat-vector
 // implementation as the differential-testing reference.
 
 #ifndef SRC_LOCK_LOCK_LIST_H_

@@ -13,10 +13,10 @@ DeadlockDetector::DeadlockDetector(System* system)
     sites_.push_back(std::make_unique<Site>(&sim()));
     system_->kernel(s).lock_manager().set_wait_hook(
         [this, s](uint64_t seq, bool cross_site) { OnWait(s, seq, cross_site); });
-    system_->net().RegisterHandler(
-        s, kDeadlockReport, [this, s](SiteId from, const Message& m, Responder) {
+    RegisterMsgHandler<kDeadlockReport>(
+        system_->net(), s, [this, s](SiteId from, const auto& report, Responder) {
           if (running_ && s == site_ && system_->kernel(s).alive()) {
-            ReceiveReport(from, m.As<DeadlockReport>().edges);
+            ReceiveReport(from, report.edges);
           }
         });
   }
@@ -137,7 +137,7 @@ void DeadlockDetector::SendReport(SiteId s) {
   if (s == site_) {
     ReceiveReport(s, std::move(edges));
   } else {
-    system_->net().Send(s, site_, MakeMsg(kDeadlockReport, DeadlockReport{std::move(edges)}));
+    system_->net().Send(s, site_, MakeMsg<kDeadlockReport>(DeadlockReport{std::move(edges)}));
   }
 }
 

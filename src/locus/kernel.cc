@@ -9,11 +9,6 @@
 
 namespace locus {
 
-// The formation layer (src/form) cannot include locus message definitions;
-// its envelope type constant mirrors the MsgType enumerator instead.
-static_assert(kFormBatch == kFormBatchMsgType,
-              "formation batch envelope wire type out of sync");
-
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
@@ -21,7 +16,6 @@ Kernel::Kernel(System* system, SiteId site)
       locks_(&system->trace(), &system->stats(), system->net().SiteName(site)),
       txns_(&system->sim(), site),
       pool_(system->options().pool_pages) {
-  RegisterMessageNames();
   locks_.set_auditor(&system->observers());
   txns_.set_auditor(&system->observers());
   pool_.set_auditor(&system->observers());
@@ -103,21 +97,20 @@ void Kernel::MaybeCrashAt(ProtocolStep step) {
   throw SimCancelled{};
 }
 
+template <MsgType kType>
 void Kernel::RegisterBlockingHandler(
-    int32_t type, std::function<void(SiteId, const Message&, Responder)> fn) {
-  net().RegisterHandler(site_, type, [this, fn](SiteId from, const Message& msg, Responder r) {
+    std::function<void(SiteId, const typename MsgSpec<kType>::Request&, Responder)> fn) {
+  net().RegisterHandler(site_, kType, [this, fn](SiteId from, const Message& msg, Responder r) {
     if (!alive_) {
       return;
     }
-    SpawnKernelProcess("svc" + std::to_string(msg.type),
-                       [fn, from, msg, r] { fn(from, msg, r); });
+    SpawnKernelProcess("svc" + std::to_string(kType),
+                       [fn, from, msg, r] { fn(from, RequestOf<kType>(msg), r); });
   });
 }
 
 void Kernel::Start() {
-  FormationQueue::Options form_opts;
-  form_opts.enabled = system_->options().formation;
-  form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_, form_opts);
+  form_ = std::make_unique<FormationQueue>(&net(), &stats(), site_, system_->options().formation);
   form_->Start();
   if (system_->observers().enabled()) {
     form_->set_shared_access_hook([this](const std::string& key, bool is_write) {
@@ -139,125 +132,117 @@ void Kernel::Start() {
   };
   recon_ = std::make_unique<ReintegrationManager>(std::move(env));
 
-  RegisterBlockingHandler(kOpenReq, [this](SiteId, const Message& m, Responder r) {
-    Err err = ServeOpen(m.As<OpenRequest>().file);
+  RegisterBlockingHandler<kOpenReq>([this](SiteId, const auto& req, Responder r) {
+    Err err = ServeOpen(req.file);
     OpenReply reply{err, 0};
     if (err == Err::kOk) {
-      FileStore* store = StoreFor(m.As<OpenRequest>().file.volume);
-      reply.size = store->WorkingSize(m.As<OpenRequest>().file);
+      reply.size = StoreFor(req.file.volume)->WorkingSize(req.file);
     }
-    r(MakeMsg(kOpenReq, reply));
+    r(MakeReply<kOpenReq>(reply));
   });
-  RegisterBlockingHandler(kReadReq, [this](SiteId, const Message& m, Responder r) {
-    ReadReply reply = ServeRead(m.As<ReadRequest>());
+  RegisterBlockingHandler<kReadReq>([this](SiteId, const auto& req, Responder r) {
+    ReadReply reply = ServeRead(req);
     int32_t size = kControlMsgBytes + static_cast<int32_t>(reply.bytes.size());
-    r(MakeMsg(kReadReq, std::move(reply), size));
+    r(MakeReply<kReadReq>(std::move(reply), size));
   });
-  RegisterBlockingHandler(kWriteReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kWriteReq, ServeWrite(m.As<WriteRequest>())));
+  RegisterBlockingHandler<kWriteReq>([this](SiteId, const auto& req, Responder r) {
+    r(MakeReply<kWriteReq>(ServeWrite(req)));
   });
-  RegisterBlockingHandler(kLockReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kLockReq>([this](SiteId, const auto& req, Responder r) {
     BurnCpu(kLockServiceInstructions);
-    ServeLock(m.As<LockRequest>(), [r](LockReply reply) { r(MakeMsg(kLockReq, reply)); });
+    ServeLock(req, [r](LockReply reply) { r(MakeReply<kLockReq>(reply)); });
   });
-  RegisterBlockingHandler(kUnlockReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kUnlockReq>([this](SiteId, const auto& req, Responder r) {
     BurnCpu(kLockServiceInstructions);
-    ServeUnlock(m.As<UnlockRequest>());
-    r(MakeMsg(kUnlockReq, Err::kOk));
+    ServeUnlock(req);
+    r(MakeReply<kUnlockReq>(Err::kOk));
   });
-  RegisterBlockingHandler(kCommitFileReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kCommitFileReq, ServeCommitFile(m.As<CommitFileRequest>())));
+  RegisterBlockingHandler<kCommitFileReq>([this](SiteId, const auto& req, Responder r) {
+    r(MakeReply<kCommitFileReq>(ServeCommitFile(req)));
   });
-  RegisterBlockingHandler(kReleaseProcessReq, [this](SiteId, const Message& m, Responder r) {
-    ServeReleaseProcess(m.As<ReleaseProcessRequest>().pid);
-    r(MakeMsg(kReleaseProcessReq, Err::kOk));
+  RegisterBlockingHandler<kReleaseProcessReq>([this](SiteId, const auto& req, Responder r) {
+    ServeReleaseProcess(req.pid);
+    r(MakeReply<kReleaseProcessReq>(Err::kOk));
   });
-  RegisterBlockingHandler(kPrepareReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kPrepareReq, PrepareReply{ServePrepare(m.As<PrepareRequest>())}));
+  RegisterBlockingHandler<kPrepareReq>([this](SiteId, const auto& req, Responder r) {
+    r(MakeReply<kPrepareReq>(PrepareReply{ServePrepare(req)}));
     MaybeCrashAt(ProtocolStep::kPrepareReplySent);
   });
-  RegisterBlockingHandler(kCommitTxnReq, [this](SiteId, const Message& m, Responder r) {
-    ServeCommitTxn(m.As<CommitTxnRequest>().txn);
-    r(MakeMsg(kCommitTxnReq, Err::kOk));
+  RegisterBlockingHandler<kCommitTxnReq>([this](SiteId, const auto& req, Responder r) {
+    ServeCommitTxn(req.txn);
+    r(MakeReply<kCommitTxnReq>(Err::kOk));
   });
-  RegisterBlockingHandler(kAbortTxnAtSiteReq, [this](SiteId, const Message& m, Responder r) {
-    ServeAbortTxnAtSite(m.As<AbortTxnAtSiteRequest>().txn);
+  RegisterBlockingHandler<kAbortTxnAtSiteReq>([this](SiteId, const auto& req, Responder r) {
+    ServeAbortTxnAtSite(req.txn);
     if (r.valid()) {
-      r(MakeMsg(kAbortTxnAtSiteReq, Err::kOk));
+      r(MakeReply<kAbortTxnAtSiteReq>(Err::kOk));
     }
   });
-  RegisterBlockingHandler(kMemberJoinReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kMemberJoinReq>([this](SiteId, const auto& req, Responder r) {
     BurnCpu(300);
-    r(MakeMsg(kMemberJoinReq, DoMemberJoin(m.As<MemberJoinRequest>())));
+    r(MakeReply<kMemberJoinReq>(DoMemberJoin(req)));
   });
-  RegisterBlockingHandler(kMergeFileListReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterBlockingHandler<kMergeFileListReq>([this](SiteId, const auto& req, Responder r) {
     BurnCpu(300);
-    r(MakeMsg(kMergeFileListReq, DoMergeFileList(m.As<MergeFileListRequest>())));
+    r(MakeReply<kMergeFileListReq>(DoMergeFileList(req)));
   });
-  RegisterBlockingHandler(kAbortTxnRouteReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kAbortTxnRouteReq, DoAbortRoute(m.As<AbortTxnRouteRequest>())));
+  RegisterBlockingHandler<kAbortTxnRouteReq>([this](SiteId, const auto& req, Responder r) {
+    r(MakeReply<kAbortTxnRouteReq>(DoAbortRoute(req)));
   });
-  RegisterBlockingHandler(kKillProcessReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<KillProcessRequest>();
+  RegisterBlockingHandler<kKillProcessReq>([this](SiteId, const auto& req, Responder r) {
     KillProcessForAbort(req.pid, req.txn);
     if (r.valid()) {
-      r(MakeMsg(kKillProcessReq, Err::kOk));
+      r(MakeReply<kKillProcessReq>(Err::kOk));
     }
   });
-  RegisterBlockingHandler(kReplicaPropagate, [this](SiteId, const Message& m, Responder) {
-    ServeReplicaPropagate(m.As<ReplicaPropagateMsg>());
-  });
-  RegisterBlockingHandler(kCreateFileReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<CreateFileRequest>();
+  RegisterBlockingHandler<kReplicaPropagate>(
+      [this](SiteId, const auto& msg, Responder) { ServeReplicaPropagate(msg); });
+  RegisterBlockingHandler<kCreateFileReq>([this](SiteId, const auto& req, Responder r) {
     FileStore* store =
         req.volume == kNoVolume ? StoreFor(volumes_[0]->id()) : StoreFor(req.volume);
     if (store == nullptr) {
-      r(MakeMsg(kCreateFileReq, CreateFileReply{Err::kNoEnt, {}}));
+      r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kNoEnt, {}}));
       return;
     }
-    r(MakeMsg(kCreateFileReq, CreateFileReply{Err::kOk, store->CreateFile()}));
+    r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kOk, store->CreateFile()}));
   });
-  RegisterBlockingHandler(kRemoveFileReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<RemoveFileRequest>();
+  RegisterBlockingHandler<kRemoveFileReq>([this](SiteId, const auto& req, Responder r) {
     FileStore* store = StoreFor(req.file.volume);
     if (store != nullptr && store->Exists(req.file)) {
       store->RemoveFile(req.file);
     }
     if (r.valid()) {
-      r(MakeMsg(kRemoveFileReq, Err::kOk));
+      r(MakeReply<kRemoveFileReq>(Err::kOk));
     }
   });
-  RegisterBlockingHandler(kTruncateReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<TruncateRequest>();
+  RegisterBlockingHandler<kTruncateReq>([this](SiteId, const auto& req, Responder r) {
     FileStore* store = StoreFor(req.file.volume);
     Err err = Err::kNoEnt;
     if (store != nullptr && store->Exists(req.file)) {
       err = store->Truncate(req.file, req.size) ? Err::kOk : Err::kBusy;
     }
-    r(MakeMsg(kTruncateReq, err));
+    r(MakeReply<kTruncateReq>(err));
   });
-  RegisterBlockingHandler(kReplicaVersionReq, [this](SiteId, const Message& m, Responder r) {
-    r(MakeMsg(kReplicaVersionReq, recon_->ServeVersion(m.As<ReplicaVersionRequest>())));
+  RegisterBlockingHandler<kReplicaVersionReq>([this](SiteId, const auto& req, Responder r) {
+    r(MakeReply<kReplicaVersionReq>(recon_->ServeVersion(req)));
   });
-  RegisterBlockingHandler(kReplicaFetchReq, [this](SiteId, const Message& m, Responder r) {
-    const auto& req = m.As<ReplicaFetchRequest>();
+  RegisterBlockingHandler<kReplicaFetchReq>([this](SiteId, const auto& req, Responder r) {
     ReplicaFetchReply reply = recon_->ServeFetch(req);
     FileStore* store = StoreFor(req.file.volume);
     int32_t size = FetchWireBytes(
         reply, store != nullptr ? store->page_size() : volumes_[0]->page_size());
-    r(MakeMsg(kReplicaFetchReq, std::move(reply), size));
+    r(MakeReply<kReplicaFetchReq>(std::move(reply), size));
   });
-  net().RegisterHandler(site_, kReleasePrimaryReq,
-                        [this](SiteId, const Message& m, Responder) {
-                          if (alive_) {
-                            MaybeReleasePrimary(m.As<ReleasePrimaryRequest>().file);
-                          }
-                        });
-  net().RegisterHandler(site_, kTxnStatusReq, [this](SiteId, const Message& m, Responder r) {
+  RegisterMsgHandler<kReleasePrimaryReq>(net(), site_, [this](SiteId, const auto& req, Responder) {
+    if (alive_) {
+      MaybeReleasePrimary(req.file);
+    }
+  });
+  RegisterMsgHandler<kTxnStatusReq>(net(), site_, [this](SiteId, const auto& req, Responder r) {
     if (!alive_ || !r.valid()) {
       return;
     }
-    const TxnId& txn = m.As<TxnStatusRequest>().txn;
+    const TxnId& txn = req.txn;
     // Presumed abort unless the stable coordinator log says otherwise (the
     // index is whole whenever the site serves: OnReboot fills it first) or
     // the transaction is still active here / migrated elsewhere.
@@ -276,7 +261,7 @@ void Kernel::Start() {
         (txns_.Find(txn) != nullptr || txn_forward_.count(txn) != 0)) {
       status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
     }
-    r(MakeMsg(kTxnStatusReq, TxnStatusReply{static_cast<int>(status)}));
+    r(MakeReply<kTxnStatusReq>(TxnStatusReply{static_cast<int>(status)}));
   });
   net().OnTopologyChange(site_, [this] { HandleTopologyChange(); });
 }
@@ -660,7 +645,7 @@ void Kernel::PropagateReplicas(const FileId& primary, const IntentionsList& inte
     }
     ReplicaPropagateMsg msg = base;
     msg.replica_file = r.file;
-    net().Send(site_, r.site, MakeMsg(kReplicaPropagate, std::move(msg), total_bytes));
+    net().Send(site_, r.site, MakeMsg<kReplicaPropagate>(std::move(msg), total_bytes));
   }
 }
 

@@ -61,8 +61,6 @@ struct LockFlags {
 
 class Kernel {
  public:
-  static constexpr int32_t kDefaultPoolPages = 256;
-
   Kernel(System* system, SiteId site);
 
   SiteId site() const { return site_; }
@@ -126,7 +124,6 @@ class Kernel {
 
   ProcessTable& process_table() { return procs_; }
   LockManager& lock_manager() { return locks_; }
-  TransactionManager& txn_manager() { return txns_; }
   BufferPool& buffer_pool() { return pool_; }
   ReintegrationManager& recon() { return *recon_; }
   // This site's formation queue (src/form); created in Start(). Control-plane
@@ -169,9 +166,11 @@ class Kernel {
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
   void MaybeCrashAt(ProtocolStep step);
-  // Registers a handler that runs `fn` in a fresh kernel process.
-  void RegisterBlockingHandler(int32_t type,
-                               std::function<void(SiteId, const Message&, Responder)> fn);
+  // Registers kType's handler: fn(from, request, responder) runs in a fresh
+  // kernel process.
+  template <MsgType kType>
+  void RegisterBlockingHandler(
+      std::function<void(SiteId, const typename MsgSpec<kType>::Request&, Responder)> fn);
   // RPC helper: local calls short-circuit the network.
   bool IsLocal(SiteId s) const { return s == site_; }
 

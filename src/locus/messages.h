@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/base/ids.h"
+#include "src/form/formation.h"
 #include "src/fs/intentions.h"
 #include "src/lock/lock_list.h"
 #include "src/lock/lock_manager.h"
@@ -21,65 +22,71 @@
 
 namespace locus {
 
-enum MsgType : int32_t {
-  kOpenReq = 1,
-  kReadReq,
-  kWriteReq,
-  kLockReq,
-  kUnlockReq,
-  kCommitFileReq,
-  kReleaseProcessReq,
-  // Two-phase commit (section 4.2).
-  kPrepareReq,
-  kCommitTxnReq,
-  kAbortTxnAtSiteReq,
-  // Transaction control plane.
-  kMemberJoinReq,
-  kMergeFileListReq,
-  kAbortTxnRouteReq,
-  kKillProcessReq,
-  // Replication (section 5.2).
-  kReplicaPropagate,
-  // Remote file lifecycle. 16 was the retired deadlock-detector poll; the
-  // types after it keep their numbers.
-  kCreateFileReq = 17,
-  kRemoveFileReq,
-  // Participant recovery: ask the coordinator for a transaction's outcome
-  // (presumed abort when no coordinator log exists).
-  kTxnStatusReq,
-  // Hint to a (possibly former) primary update site that the last update
-  // open closed, so it may release the primary designation once idle.
-  kReleasePrimaryReq,
-  // Immediate durable truncation at the storage site.
-  kTruncateReq,
-  // Replica reintegration (src/recon): version probe and committed-image
-  // fetch used to bring a behind replica back to currency.
-  kReplicaVersionReq,
-  kReplicaFetchReq,
-  // Deadlock detection (section 3.1): a site's wait-for edges, pushed to the
-  // detector site once per period while it has an aged cross-site wait.
-  kDeadlockReport,
-  // Formation batch envelope (src/form): several coalesced protocol messages
-  // to one destination in one wire message. Pinned to a value well above the
-  // dense range so new message types never collide with it; must match
-  // kFormBatchMsgType (static_assert in kernel.cc).
-  kFormBatch = 64,
-};
-static_assert(kReplicaPropagate == 15 && kDeadlockReport == 24,
-              "message types keep their wire numbers");
+// The kernel protocol, declared once. One row per message:
+//   X(enumerator, wire number, request payload, reply payload)
+// The reply is `Err` where the handler answers with a bare error code and
+// `void` for one-way messages. The rows generate the MsgType enum and the
+// MsgSpec binding below, so MakeMsg / MakeReply / RequestOf / ReplyOf only
+// compile with the payload struct the row names.
+//
+// To add a message, add a row with an unused number. Never renumber a row:
+// EventInfo labels and the model checker's digests carry the number. 16 was
+// the retired deadlock-detector poll.
+#define LOCUS_MESSAGES(X)                                                 \
+  X(kOpenReq, 1, OpenRequest, OpenReply)                                  \
+  X(kReadReq, 2, ReadRequest, ReadReply)                                  \
+  X(kWriteReq, 3, WriteRequest, WriteReply)                               \
+  X(kLockReq, 4, LockRequest, LockReply)                                  \
+  X(kUnlockReq, 5, UnlockRequest, Err)                                    \
+  X(kCommitFileReq, 6, CommitFileRequest, Err)                            \
+  X(kReleaseProcessReq, 7, ReleaseProcessRequest, Err)                    \
+  /* Two-phase commit (section 4.2). */                                   \
+  X(kPrepareReq, 8, PrepareRequest, PrepareReply)                         \
+  X(kCommitTxnReq, 9, CommitTxnRequest, Err)                              \
+  X(kAbortTxnAtSiteReq, 10, AbortTxnAtSiteRequest, Err)                   \
+  /* Transaction control plane. */                                        \
+  X(kMemberJoinReq, 11, MemberJoinRequest, MemberJoinReply)               \
+  X(kMergeFileListReq, 12, MergeFileListRequest, MergeFileListReply)      \
+  X(kAbortTxnRouteReq, 13, AbortTxnRouteRequest, AbortTxnRouteReply)      \
+  X(kKillProcessReq, 14, KillProcessRequest, Err)                         \
+  /* Replication (section 5.2). */                                        \
+  X(kReplicaPropagate, 15, ReplicaPropagateMsg, void)                     \
+  /* Remote file lifecycle. */                                            \
+  X(kCreateFileReq, 17, CreateFileRequest, CreateFileReply)               \
+  X(kRemoveFileReq, 18, RemoveFileRequest, Err)                           \
+  /* Participant recovery: ask the coordinator for a transaction's       \
+     outcome (presumed abort when no coordinator log exists). */          \
+  X(kTxnStatusReq, 19, TxnStatusRequest, TxnStatusReply)                  \
+  /* Hint to a (possibly former) primary update site that the last       \
+     update open closed, so it may release the primary designation. */    \
+  X(kReleasePrimaryReq, 20, ReleasePrimaryRequest, void)                  \
+  /* Immediate durable truncation at the storage site. */                 \
+  X(kTruncateReq, 21, TruncateRequest, Err)                               \
+  /* Replica reintegration (src/recon): version probe and committed-     \
+     image fetch that bring a behind replica back to currency. */         \
+  X(kReplicaVersionReq, 22, ReplicaVersionRequest, ReplicaVersionReply)   \
+  X(kReplicaFetchReq, 23, ReplicaFetchRequest, ReplicaFetchReply)         \
+  /* Deadlock detection (section 3.1): a site's wait-for edges, pushed   \
+     to the detector site once per period while it has an aged           \
+     cross-site wait. */                                                  \
+  X(kDeadlockReport, 24, DeadlockReport, void)
+
+#define LOCUS_MSG_ENUMERATOR(name, number, Request, Reply) name = number,
+enum MsgType : int32_t { LOCUS_MESSAGES(LOCUS_MSG_ENUMERATOR) };
+#undef LOCUS_MSG_ENUMERATOR
+
+// Never called: its duplicate case labels would not compile if two rows
+// shared a number (the handler table is indexed by it).
+#define LOCUS_MSG_CASE(name, number, Request, Reply) case name:
+constexpr bool MsgNumbersDistinct(MsgType type) {
+  switch (type) { LOCUS_MESSAGES(LOCUS_MSG_CASE) return true; }
+  return false;
+}
+#undef LOCUS_MSG_CASE
 
 // Wire size of a control message (header plus a small payload); data-bearing
 // messages add their byte count to it.
 inline constexpr int32_t kControlMsgBytes = 96;
-
-template <typename T>
-Message MakeMsg(MsgType type, T payload, int32_t size_bytes = kControlMsgBytes) {
-  Message m;
-  m.type = type;
-  m.size_bytes = size_bytes;
-  m.payload = std::move(payload);
-  return m;
-}
 
 struct OpenRequest {
   FileId file;
@@ -245,12 +252,76 @@ struct TxnStatusReply {
   int status = 0;  // Cast of TxnStatus; kAborted when no log exists.
 };
 
-// Stable wire name of a MsgType ("commit-txn-req"); "?" for unknown values.
-// Defined in messages.cc; locus_analyze's switch check keeps it exhaustive.
-const char* MsgTypeName(int32_t type);
-// Installs MsgTypeName as the network layer's message-type namer
-// (idempotent; every Kernel construction calls it).
-void RegisterMessageNames();
+// kReplicaVersionReq: "what ordinal is your committed copy at?"
+struct ReplicaVersionRequest {
+  FileId file;  // The replica inode on the responding site's volume.
+};
+struct ReplicaVersionReply {
+  Err err = Err::kOk;
+  uint64_t commit_version = 0;
+  int64_t committed_size = 0;
+};
+
+// kReplicaFetchReq: "ship me your whole committed image."
+struct ReplicaFetchRequest {
+  FileId file;
+};
+struct ReplicaFetchReply {
+  Err err = Err::kOk;
+  uint64_t commit_version = 0;
+  int64_t committed_size = 0;
+  // slot -> committed page image (shared refs; never working pages).
+  std::vector<std::pair<int32_t, PageRef>> pages;
+};
+
+// Each row's payload types. Every number is checked against the formation
+// envelope's, which shares the handler table.
+template <MsgType kType>
+struct MsgSpec;
+#define LOCUS_MSG_SPEC(name, number, RequestType, ReplyType)                  \
+  template <>                                                                 \
+  struct MsgSpec<name> {                                                      \
+    using Request = RequestType;                                              \
+    using Reply = ReplyType;                                                  \
+  };                                                                          \
+  static_assert(number != kFormBatchMsgType, #name " takes the formation envelope's number");
+LOCUS_MESSAGES(LOCUS_MSG_SPEC)
+#undef LOCUS_MSG_SPEC
+
+// A kType request carrying kType's request payload.
+template <MsgType kType>
+Message MakeMsg(typename MsgSpec<kType>::Request payload, int32_t size_bytes = kControlMsgBytes) {
+  return Message{
+      .type = kType, .size_bytes = size_bytes, .payload = std::move(payload), .vclock = {}};
+}
+
+// The reply to a kType request.
+template <MsgType kType>
+Message MakeReply(typename MsgSpec<kType>::Reply payload, int32_t size_bytes = kControlMsgBytes) {
+  return Message{
+      .type = kType, .size_bytes = size_bytes, .payload = std::move(payload), .vclock = {}};
+}
+
+// A handler's view of a delivered kType request.
+template <MsgType kType>
+const typename MsgSpec<kType>::Request& RequestOf(const Message& msg) {
+  return msg.As<typename MsgSpec<kType>::Request>();
+}
+
+// A caller's view of the reply to its kType request (res.ok must hold).
+template <MsgType kType>
+const typename MsgSpec<kType>::Reply& ReplyOf(const RpcResult& res) {
+  return res.reply.As<typename MsgSpec<kType>::Reply>();
+}
+
+// Registers fn(from, request, responder) as kType's handler at `site`.
+template <MsgType kType, typename Fn>
+void RegisterMsgHandler(Network& net, SiteId site, Fn fn) {
+  net.RegisterHandler(site, kType,
+                      [fn = std::move(fn)](SiteId from, const Message& m, Responder r) {
+                        fn(from, RequestOf<kType>(m), r);
+                      });
+}
 
 }  // namespace locus
 

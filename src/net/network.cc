@@ -5,17 +5,6 @@
 
 namespace locus {
 
-namespace {
-// The registered protocol-level namer (see RegisterMessageTypeNamer).
-MessageTypeNamer g_message_type_namer = nullptr;
-}  // namespace
-
-void RegisterMessageTypeNamer(MessageTypeNamer namer) { g_message_type_namer = namer; }
-
-const char* MessageTypeName(int32_t type) {
-  return g_message_type_namer != nullptr ? g_message_type_namer(type) : "?";
-}
-
 void Responder::operator()(Message reply) const {
   if (net_ == nullptr) {
     return;
@@ -82,9 +71,21 @@ bool Network::Reachable(SiteId a, SiteId b) const {
 }
 
 void Network::Send(SiteId from, SiteId to, Message msg) {
-  if (!sites_[from].alive) {
-    return;
+  if (sites_[from].alive) {
+    Transmit(from, to, std::move(msg), Responder());
   }
+}
+
+RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout) {
+  if (!Reachable(from, to)) {
+    return RpcResult{false, {}};
+  }
+  uint64_t id = PrepareCall(from, to);
+  Transmit(from, to, std::move(request), Responder(this, id, to));
+  return WaitCall(id, timeout);
+}
+
+void Network::Transmit(SiteId from, SiteId to, Message msg, Responder responder) {
   stats_.Add(messages_id_);
   if (clocks_enabled_) {
     Tick(from);
@@ -92,41 +93,9 @@ void Network::Send(SiteId from, SiteId to, Message msg) {
   }
   EventInfo info{EventTag::kNetDeliver, from, to, msg.type};
   sim_->Schedule(OneWayLatency(msg.size_bytes), info,
-                 [this, from, to, msg = std::move(msg)]() mutable {
-                   Deliver(from, to, std::move(msg), Responder());
+                 [this, from, to, responder, msg = std::move(msg)]() mutable {
+                   Deliver(from, to, std::move(msg), responder);
                  });
-}
-
-RpcResult Network::Call(SiteId from, SiteId to, Message request, SimTime timeout) {
-  assert(Simulation::Current() != nullptr && "Network::Call requires process context");
-  if (!Reachable(from, to)) {
-    return RpcResult{false, {}};
-  }
-
-  uint64_t id = next_call_id_++;
-  PendingCall& call = pending_calls_[id];
-  call.from = from;
-  call.to = to;
-  call.wake = std::make_unique<WaitQueue>(sim_);
-
-  stats_.Add(messages_id_);
-  if (clocks_enabled_) {
-    Tick(from);
-    request.vclock = sites_[from].clock;
-  }
-  Responder responder(this, id, to);
-  EventInfo deliver_info{EventTag::kNetDeliver, from, to, request.type};
-  sim_->Schedule(OneWayLatency(request.size_bytes), deliver_info,
-                 [this, from, to, responder, request = std::move(request)]() mutable {
-                   Deliver(from, to, std::move(request), responder);
-                 });
-  EventInfo timeout_info{EventTag::kRpcTimeout, from, to, static_cast<int32_t>(id)};
-  call.timeout = sim_->Schedule(timeout, timeout_info, [this, id] {
-    CompleteCall(id, RpcResult{false, {}});
-  });
-
-  call.wake->Wait();
-  return TakeResult(id);
 }
 
 void Network::Deliver(SiteId from, SiteId to, Message msg, Responder responder) {

@@ -36,13 +36,6 @@ namespace locus {
 using SiteId = int32_t;
 inline constexpr SiteId kNoSite = -1;
 
-// Registry of the one protocol-level message-type namer (src/locus registers
-// MsgTypeName). Message::As and trace diagnostics print the registered name
-// next to the raw type number; unregistered types print as "?".
-using MessageTypeNamer = const char* (*)(int32_t type);
-void RegisterMessageTypeNamer(MessageTypeNamer namer);
-const char* MessageTypeName(int32_t type);
-
 // A network message. Payloads are typed structs carried through std::any;
 // size_bytes models the wire footprint for latency purposes.
 struct Message {
@@ -63,9 +56,9 @@ struct Message {
     const T* typed = std::any_cast<T>(&payload);
     if (typed == nullptr) {
       fprintf(stderr,
-              "Message::As: payload type mismatch on message type %d (%s): expected %s, "
+              "Message::As: payload type mismatch on message type %d: expected %s, "
               "actual %s\n",
-              type, MessageTypeName(type), typeid(T).name(),
+              type, typeid(T).name(),
               payload.has_value() ? payload.type().name() : "(empty)");
       abort();
     }
@@ -132,11 +125,11 @@ class Network {
                  SimTime timeout = kDefaultRpcTimeout);
 
   // --- Split-call interface (formation layer; src/form) ---
-  // The formation queue carries the request inside a batch envelope instead of
-  // letting Call schedule its own delivery, so the call setup and the wait are
-  // split: PrepareCall registers the pending-call record (and returns its id
-  // for the envelope), the sender enqueues the request, and WaitCall parks the
-  // caller with the usual timeout / failure-detection semantics.
+  // Call is PrepareCall, the request's own delivery, then WaitCall. The
+  // formation queue carries the request inside a batch envelope instead:
+  // PrepareCall registers the pending-call record (and returns its id for the
+  // envelope), the sender enqueues the request, and WaitCall parks the caller
+  // with the usual timeout / failure-detection semantics.
   uint64_t PrepareCall(SiteId from, SiteId to);
   RpcResult WaitCall(uint64_t call_id, SimTime timeout = kDefaultRpcTimeout);
   // Completes a split call whose reply arrived inside a batch envelope (the
@@ -218,6 +211,9 @@ class Network {
     RpcResult result;
   };
 
+  // Sends `msg` on the wire (counted, clock-stamped) and schedules its
+  // delivery; `responder` is empty for a datagram.
+  void Transmit(SiteId from, SiteId to, Message msg, Responder responder);
   void Deliver(SiteId from, SiteId to, Message msg, Responder responder);
   void CompleteCall(uint64_t call_id, RpcResult result);
   // Erases a completed call, cancelling its timeout, and returns its result.

@@ -213,11 +213,11 @@ bool ReintegrationManager::ReconcileFile(const std::string& path) {
         continue;
       }
       RpcResult res = env_.net->Call(
-          env_.site, peer.site, MakeMsg(kReplicaVersionReq, ReplicaVersionRequest{peer.file}));
+          env_.site, peer.site, MakeMsg<kReplicaVersionReq>(ReplicaVersionRequest{peer.file}));
       if (!res.ok) {
         continue;
       }
-      const auto& reply = res.reply.As<ReplicaVersionReply>();
+      const auto& reply = ReplyOf<kReplicaVersionReq>(res);
       if (reply.err != Err::kOk) {
         continue;
       }
@@ -250,12 +250,12 @@ bool ReintegrationManager::ReconcileFile(const std::string& path) {
       env_.stats->Add(ids_.stale_marks);
     }
     RpcResult res = env_.net->Call(env_.site, best_site,
-                                   MakeMsg(kReplicaFetchReq, ReplicaFetchRequest{best_file}),
+                                   MakeMsg<kReplicaFetchReq>(ReplicaFetchRequest{best_file}),
                                    Seconds(30));
     if (!res.ok) {
       continue;  // Peer lost mid-fetch; the next round re-probes.
     }
-    const auto& image = res.reply.As<ReplicaFetchReply>();
+    const auto& image = ReplyOf<kReplicaFetchReq>(res);
     if (image.err != Err::kOk) {
       continue;
     }
@@ -351,9 +351,9 @@ std::vector<ReplicaStatusEntry> ReintegrationManager::CollectStatus(const std::s
     } else if (row.reachable) {
       RpcResult res =
           env_.net->Call(env_.site, peers[i].site,
-                         MakeMsg(kReplicaVersionReq, ReplicaVersionRequest{peers[i].file}));
+                         MakeMsg<kReplicaVersionReq>(ReplicaVersionRequest{peers[i].file}));
       if (res.ok) {
-        const auto& reply = res.reply.As<ReplicaVersionReply>();
+        const auto& reply = ReplyOf<kReplicaVersionReq>(res);
         if (reply.err == Err::kOk) {
           row.commit_version = reply.commit_version;
           known[i] = true;

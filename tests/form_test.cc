@@ -26,12 +26,20 @@ DebitCreditConfig AnchorConfig() {
   return config;
 }
 
+// Every delivered message found a handler at its destination: a message
+// table row under the wrong number would land in "net.unhandled".
+void ExpectEveryMessageHandled(System& system) {
+  EXPECT_GT(system.net().stats().Get("net.messages"), 0);
+  EXPECT_EQ(system.net().stats().Get("net.unhandled"), 0);
+}
+
 DebitCreditResults RunAnchor(const SystemOptions& options) {
   System system(6, options);
   system.trace().set_enabled(false);
   DebitCreditWorkload workload(&system, AnchorConfig());
   DebitCreditResults results = workload.Execute();
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
+  ExpectEveryMessageHandled(system);
   return results;
 }
 
@@ -112,6 +120,7 @@ TEST(Formation, ReducesMessagesAndForcesPerTxn) {
     DebitCreditWorkload workload(&system, AnchorConfig());
     DebitCreditResults results = workload.Execute();
     EXPECT_TRUE(results.conserved());
+    ExpectEveryMessageHandled(system);
     return std::make_tuple(results.committed,
                            system.stats().Get("form.messages_per_txn"),
                            system.stats().Get("form.log_forces_per_txn"));

@@ -142,10 +142,8 @@ TEST_F(NetworkTest, SplitCallsAndCall2CancelTheirTimeouts) {
   // Formation at both ends: requests and replies ride batch envelopes, the
   // calls go through PrepareCall/WaitCall, and a reply can land before its
   // WaitCall (the second call of a pair), when no timeout is armed at all.
-  FormationQueue::Options on;
-  on.enabled = true;
-  FormationQueue form_a(&net_, &net_.stats(), a_, on);
-  FormationQueue form_b(&net_, &net_.stats(), b_, on);
+  FormationQueue form_a(&net_, &net_.stats(), a_, /*enabled=*/true);
+  FormationQueue form_b(&net_, &net_.stats(), b_, /*enabled=*/true);
   form_a.Start();
   form_b.Start();
   net_.RegisterHandler(b_, 2, [&](SiteId, const Message& m, Responder r) { r(m); });
@@ -172,24 +170,21 @@ TEST_F(NetworkTest, SplitCallsAndCall2CancelTheirTimeouts) {
 }
 
 TEST_F(NetworkTest, FormationCancelsItsFlushTimerOnSizeFlushAndCrash) {
-  FormationQueue::Options on;
-  on.enabled = true;
-  on.max_batch_bytes = 128;
-  FormationQueue form_a(&net_, &net_.stats(), a_, on);
-  FormationQueue form_b(&net_, &net_.stats(), b_, FormationQueue::Options{});
+  FormationQueue form_a(&net_, &net_.stats(), a_, /*enabled=*/true);
+  FormationQueue form_b(&net_, &net_.stats(), b_, /*enabled=*/false);
   form_a.Start();
   form_b.Start();  // Unpacks the envelopes at b.
   int delivered = 0;
   net_.RegisterHandler(b_, 2, [&](SiteId, const Message&, Responder) { ++delivered; });
   // The first message arms the deadline flush; the second fills the batch,
   // whose size flush cancels that timer. Left is the envelope's delivery.
-  form_a.Send(b_, Msg(2, 1));
+  form_a.Send(b_, Msg(2, 1, kFormMaxBatchBytes / 2));
   EXPECT_EQ(sim_.pending_event_count(), 1u);
-  form_a.Send(b_, Msg(2, 2));
+  form_a.Send(b_, Msg(2, 2, kFormMaxBatchBytes / 2));
   EXPECT_EQ(sim_.pending_event_count(), 1u);
   sim_.Run();
   EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(sim_.Now(), net_.OneWayLatency(kFormEnvelopeBytes + 128));
+  EXPECT_EQ(sim_.Now(), net_.OneWayLatency(kFormEnvelopeBytes + kFormMaxBatchBytes));
   EXPECT_EQ(net_.stats().Get("form.flushes_size"), 1);
   EXPECT_EQ(net_.stats().Get("form.flushes_deadline"), 0);
   // A crash drops the queued message and cancels its timer.
@@ -202,7 +197,7 @@ TEST_F(NetworkTest, FormationCancelsItsFlushTimerOnSizeFlushAndCrash) {
   form_a.Send(b_, Msg(2, 4));
   sim_.Run();
   EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(sim_.Now(), sent_at + on.flush_delay + net_.OneWayLatency(kFormEnvelopeBytes + 64));
+  EXPECT_EQ(sim_.Now(), sent_at + kFormFlushDelay + net_.OneWayLatency(kFormEnvelopeBytes + 64));
   EXPECT_EQ(net_.stats().Get("form.flushes_deadline"), 1);
 }
 

@@ -214,20 +214,8 @@ TEST_F(RecoveryTest, DuplicateCommitMessagesAreIdempotent) {
   ASSERT_EQ(ReadFileAt(2, "/dup", 10), "bbbbbbbbbb");
   int64_t installs = system_.stats().Get("fs.commits_installed");
   // Replay the commit message (recovery can send duplicates, section 4.4).
-  system_.Spawn(0, "dup", [&](Syscalls& sys) {
-    (void)sys;
-    // Direct kernel-level duplicate: deliver another commit for txn.
-  });
-  Kernel& participant = system_.kernel(1);
-  system_.sim().Spawn("dup-commit", [&] {
-    participant.txn_manager();  // No-op touch; the real call:
-  });
-  // Send the duplicate through the public path: ServeCommitTxn is private,
-  // so replay through the network.
-  Message msg;
-  msg.type = kCommitTxnReq;
-  msg.payload = CommitTxnRequest{txn};
-  system_.net().Send(0, 1, msg);
+  // ServeCommitTxn is private, so the duplicate goes through the network.
+  system_.net().Send(0, 1, MakeMsg<kCommitTxnReq>(CommitTxnRequest{txn}));
   system_.RunFor(Seconds(2));
   EXPECT_EQ(system_.stats().Get("fs.commits_installed"), installs);  // No re-install.
   EXPECT_EQ(ReadFileAt(2, "/dup", 10), "bbbbbbbbbb");
