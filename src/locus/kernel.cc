@@ -9,6 +9,21 @@
 
 namespace locus {
 
+namespace {
+constexpr int32_t kPagesPerVolume = 8192;
+
+// Drops the entries `gone` selects once `list` has reached `sweep_at`, then
+// doubles the threshold: O(1) amortized per push, and the list stays within
+// twice its live entries.
+template <typename T, typename Gone>
+void SweepWhenDoubled(std::vector<T>& list, size_t& sweep_at, size_t min_sweep, Gone gone) {
+  if (list.size() >= sweep_at) {
+    std::erase_if(list, gone);
+    sweep_at = std::max(min_sweep, 2 * list.size());
+  }
+}
+}  // namespace
+
 Kernel::Kernel(System* system, SiteId site)
     : system_(system),
       site_(site),
@@ -19,6 +34,23 @@ Kernel::Kernel(System* system, SiteId site)
   locks_.set_auditor(&system->observers());
   txns_.set_auditor(&system->observers());
   pool_.set_auditor(&system->observers());
+  // The site's one volume; its id is the site number.
+  const SystemOptions& options = system->options();
+  std::string name = "d" + std::to_string(site) + "v" + std::to_string(site);
+  volume_ = std::make_unique<Volume>(
+      site, name,
+      std::make_unique<Disk>(&sim(), &stats(), name, kPagesPerVolume, options.page_size,
+                             options.disk_latency));
+  if (options.double_write_logs) {
+    volume_->set_log_append_mode(Volume::LogAppendMode::kDoubleWrite);
+  }
+  volume_->BindStats(&stats());
+  if (options.formation) {
+    volume_->EnableGroupCommit(&sim());
+  }
+  store_ = std::make_unique<FileStore>(&sim(), volume_.get(), &pool_, &stats(), &trace(),
+                                       net().SiteName(site_));
+  store_->set_auditor(&system->observers());
 }
 
 Simulation& Kernel::sim() { return system_->sim(); }
@@ -44,46 +76,23 @@ void Kernel::Trace(const char* format, ...) {
   trace().Log(sim().Now(), net().SiteName(site_), "%s", buffer);
 }
 
-void Kernel::AttachVolume(std::unique_ptr<Volume> volume) {
-  Volume* raw = volume.get();
-  volumes_.push_back(std::move(volume));
-  stores_[raw->id()] = std::make_unique<FileStore>(&sim(), raw, &pool_, &stats(), &trace(),
-                                                   net().SiteName(site_));
-  stores_[raw->id()]->set_auditor(&system_->observers());
-}
-
-Volume* Kernel::FindVolume(VolumeId id) {
-  for (auto& v : volumes_) {
-    if (v->id() == id) {
-      return v.get();
-    }
-  }
-  return nullptr;
-}
-
 FileStore* Kernel::StoreFor(VolumeId id) {
-  auto it = stores_.find(id);
-  return it == stores_.end() ? nullptr : it->second.get();
-}
-
-std::vector<Volume*> Kernel::volumes() {
-  std::vector<Volume*> out;
-  for (auto& v : volumes_) {
-    out.push_back(v.get());
-  }
-  return out;
+  return id == volume_->id() ? store_.get() : nullptr;
 }
 
 void Kernel::SpawnKernelProcess(const std::string& name, std::function<void()> body) {
   std::string full = net().SiteName(site_) + ":" + name + "#" + std::to_string(next_kproc_++);
-  // Drop the handles of reclaimed processes only once the list has doubled
-  // since the last sweep: O(1) amortized per spawn, and the list stays within
-  // twice the live kernel processes.
-  if (kernel_procs_.size() >= kernel_procs_sweep_at_) {
-    std::erase_if(kernel_procs_, [this](ProcessHandle kp) { return sim().Find(kp) == nullptr; });
-    kernel_procs_sweep_at_ = std::max<size_t>(kMinKernelProcsSweep, 2 * kernel_procs_.size());
-  }
+  SweepWhenDoubled(kernel_procs_, kernel_procs_sweep_at_, kMinKernelProcsSweep,
+                   [this](ProcessHandle kp) { return sim().Find(kp) == nullptr; });
   kernel_procs_.push_back(sim().Spawn(full, std::move(body)));
+}
+
+void Kernel::Retire(std::unique_ptr<OsProcess> process) {
+  SweepWhenDoubled(retired_, retired_sweep_at_, kMinKernelProcsSweep,
+                   [this](const std::unique_ptr<OsProcess>& p) {
+                     return sim().Find(p->sim_process) == nullptr;
+                   });
+  retired_.push_back(std::move(process));
 }
 
 void Kernel::MaybeCrashAt(ProtocolStep step) {
@@ -197,14 +206,8 @@ void Kernel::Start() {
   });
   RegisterBlockingHandler<kReplicaPropagate>(
       [this](SiteId, const auto& msg, Responder) { ServeReplicaPropagate(msg); });
-  RegisterBlockingHandler<kCreateFileReq>([this](SiteId, const auto& req, Responder r) {
-    FileStore* store =
-        req.volume == kNoVolume ? StoreFor(volumes_[0]->id()) : StoreFor(req.volume);
-    if (store == nullptr) {
-      r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kNoEnt, {}}));
-      return;
-    }
-    r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kOk, store->CreateFile()}));
+  RegisterBlockingHandler<kCreateFileReq>([this](SiteId, const auto&, Responder r) {
+    r(MakeReply<kCreateFileReq>(CreateFileReply{Err::kOk, store_->CreateFile()}));
   });
   RegisterBlockingHandler<kRemoveFileReq>([this](SiteId, const auto& req, Responder r) {
     FileStore* store = StoreFor(req.file.volume);
@@ -228,9 +231,7 @@ void Kernel::Start() {
   });
   RegisterBlockingHandler<kReplicaFetchReq>([this](SiteId, const auto& req, Responder r) {
     ReplicaFetchReply reply = recon_->ServeFetch(req);
-    FileStore* store = StoreFor(req.file.volume);
-    int32_t size = FetchWireBytes(
-        reply, store != nullptr ? store->page_size() : volumes_[0]->page_size());
+    int32_t size = FetchWireBytes(reply, store_->page_size());
     r(MakeReply<kReplicaFetchReq>(std::move(reply), size));
   });
   RegisterMsgHandler<kReleasePrimaryReq>(net(), site_, [this](SiteId, const auto& req, Responder) {
@@ -243,25 +244,18 @@ void Kernel::Start() {
       return;
     }
     const TxnId& txn = req.txn;
-    // Presumed abort unless the stable coordinator log says otherwise (the
-    // index is whole whenever the site serves: OnReboot fills it first) or
-    // the transaction is still active here / migrated elsewhere.
+    // Presumed abort unless the published coordinator record says otherwise
+    // or the transaction is still active here / migrated elsewhere.
     TxnStatus status = TxnStatus::kAborted;
-    auto index_it = coordinator_log_index_.find(txn);
-    if (index_it != coordinator_log_index_.end()) {
-      const auto& log = volumes_[0]->stable_log();
-      auto log_it = log.find(index_it->second);
-      if (log_it != log.end()) {
-        if (const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload)) {
-          status = coord->status;
-        }
-      }
+    auto coords = volume_->RecordsOf<CoordinatorLogRecord>(txn);
+    if (!coords.empty()) {
+      status = coords.front().second->status;
     }
     if (status == TxnStatus::kAborted &&
         (txns_.Find(txn) != nullptr || txn_forward_.count(txn) != 0)) {
       status = TxnStatus::kUnknown;  // Active or migrated: not yet decided.
     }
-    r(MakeReply<kTxnStatusReq>(TxnStatusReply{static_cast<int>(status)}));
+    r(MakeReply<kTxnStatusReq>(TxnStatusReply{status}));
   });
   net().OnTopologyChange(site_, [this] { HandleTopologyChange(); });
 }
@@ -423,47 +417,37 @@ Err Kernel::ServePrepare(const PrepareRequest& req) {
   if (locally_aborted_.count(req.txn) != 0) {
     return Err::kAborted;  // The topology protocol aborted it here already.
   }
-  // Group this site's intentions by volume: one prepare log per logical
-  // volume (section 4.4) unless the footnote-10 per-file fidelity mode is on.
-  std::map<VolumeId, std::vector<IntentionsList>> by_volume;
+  std::vector<IntentionsList> intentions;
   for (const FileId& file : req.files) {
-    FileStore* store = StoreFor(file.volume);
-    if (store == nullptr) {
+    if (StoreFor(file.volume) == nullptr) {
       return Err::kNoEnt;
     }
-    std::optional<IntentionsList> intentions = store->PrepareWriter(file, owner);
-    if (intentions.has_value() && !intentions->updates.empty()) {
-      by_volume[file.volume].push_back(std::move(*intentions));
+    std::optional<IntentionsList> il = store_->PrepareWriter(file, owner);
+    if (il.has_value() && !il->updates.empty()) {
+      intentions.push_back(std::move(*il));
     }
   }
   if (locally_aborted_.count(req.txn) != 0) {
     // The abort arrived while we were flushing (the rollback was deferred to
     // us); undo the flush and refuse to prepare.
-    for (auto& [vol_id, intentions] : by_volume) {
-      for (const IntentionsList& il : intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        store->AbortWriter(il.file, owner);
-      }
+    for (const IntentionsList& il : intentions) {
+      store_->AbortWriter(il.file, owner);
     }
     locks_.ReleaseTransaction(req.txn);
     return Err::kAborted;
   }
   MaybeCrashAt(ProtocolStep::kBeforePrepareLog);
-  for (auto& [vol_id, intentions] : by_volume) {
-    Volume* volume = FindVolume(vol_id);
-    if (system_->options().prepare_log_per_file) {
-      for (IntentionsList& il : intentions) {
-        PrepareLogRecord rec{req.txn, req.coordinator, {il}};
-        uint64_t id = volume->AppendLog(rec, "prepare_log");
-        prepare_log_index_[req.txn].push_back({vol_id, id});
-      }
-    } else {
-      PrepareLogRecord rec{req.txn, req.coordinator, intentions};
-      uint64_t id = volume->AppendLog(rec, "prepare_log");
-      Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
-            static_cast<unsigned long long>(id));
-      prepare_log_index_[req.txn].push_back({vol_id, id});
+  // One prepare record for the volume (section 4.4), or one per file in the
+  // footnote-10 fidelity mode.
+  if (system_->options().prepare_log_per_file) {
+    for (const IntentionsList& il : intentions) {
+      volume_->AppendLog(PrepareLogRecord{req.txn, req.coordinator, {il}}, "prepare_log");
     }
+  } else if (!intentions.empty()) {
+    uint64_t id = volume_->AppendLog(
+        PrepareLogRecord{req.txn, req.coordinator, std::move(intentions)}, "prepare_log");
+    Trace("prepare %s -> log record %llu", ToString(req.txn).c_str(),
+          static_cast<unsigned long long>(id));
   }
   MaybeCrashAt(ProtocolStep::kAfterPrepareLog);
   Trace("prepared %s (%zu files)", ToString(req.txn).c_str(), req.files.size());
@@ -483,28 +467,17 @@ void Kernel::ServeCommitTxn(const TxnId& txn) {
   MaybeCrashAt(ProtocolStep::kBeforeCommitInstall);
   LockOwner owner{kNoPid, txn};
   std::vector<FileId> committed_files;
-  auto it = prepare_log_index_.find(txn);
-  if (it != prepare_log_index_.end()) {
-    for (const auto& [vol_id, record_id] : it->second) {
-      Volume* volume = FindVolume(vol_id);
-      auto log_it = volume->stable_log().find(record_id);
-      if (log_it == volume->stable_log().end()) {
-        continue;  // Duplicate commit message; already resolved (section 4.4).
-      }
-      const auto& rec = *std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-      Trace("commit %s: installing log record %llu (%zu intentions)",
-            ToString(txn).c_str(), static_cast<unsigned long long>(record_id),
-            rec.intentions.size());
-      for (const IntentionsList& il : rec.intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        store->InstallIntentions(il);
-        store->FinishWriterCommit(il.file, owner);
-        PropagateReplicas(il.file, il);
-        committed_files.push_back(il.file);
-      }
-      volume->EraseLog(record_id);
+  // A duplicate commit message finds no record: already resolved (4.4).
+  for (const auto& [record_id, rec] : volume_->RecordsOf<PrepareLogRecord>(txn)) {
+    Trace("commit %s: installing log record %llu (%zu intentions)", ToString(txn).c_str(),
+          static_cast<unsigned long long>(record_id), rec->intentions.size());
+    for (const IntentionsList& il : rec->intentions) {
+      store_->InstallIntentions(il);
+      store_->FinishWriterCommit(il.file, owner);
+      PropagateReplicas(il.file, il);
+      committed_files.push_back(il.file);
     }
-    prepare_log_index_.erase(txn);
+    volume_->EraseLog(record_id);
   }
   MaybeCrashAt(ProtocolStep::kAfterCommitInstall);
   // Phase two releases the retained locks (section 4.2).
@@ -524,26 +497,15 @@ void Kernel::ServeAbortTxnAtSite(const TxnId& txn) {
   LockOwner owner{kNoPid, txn};
   // Prepared state first: roll back via writer state if we still have it
   // (pre-crash) or free the logged shadow pages (post-crash).
-  auto it = prepare_log_index_.find(txn);
-  if (it != prepare_log_index_.end()) {
-    for (const auto& [vol_id, record_id] : it->second) {
-      Volume* volume = FindVolume(vol_id);
-      auto log_it = volume->stable_log().find(record_id);
-      if (log_it == volume->stable_log().end()) {
-        continue;
+  for (const auto& [record_id, rec] : volume_->RecordsOf<PrepareLogRecord>(txn)) {
+    for (const IntentionsList& il : rec->intentions) {
+      if (store_->HasUncommitted(il.file, owner)) {
+        store_->AbortWriter(il.file, owner);
+      } else {
+        store_->DiscardIntentions(il);
       }
-      const auto& rec = *std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-      for (const IntentionsList& il : rec.intentions) {
-        FileStore* store = StoreFor(il.file.volume);
-        if (store->HasUncommitted(il.file, owner)) {
-          store->AbortWriter(il.file, owner);
-        } else {
-          store->DiscardIntentions(il);
-        }
-      }
-      volume->EraseLog(record_id);
     }
-    prepare_log_index_.erase(txn);
+    volume_->EraseLog(record_id);
   }
   // Unprepared uncommitted modifications. A writer mid-prepare-flush cannot
   // be rolled back immediately; retry until every rollback lands — the locks
@@ -551,13 +513,11 @@ void Kernel::ServeAbortTxnAtSite(const TxnId& txn) {
   std::vector<FileId> touched;
   for (int attempt = 0; attempt < 300; ++attempt) {
     bool all_done = true;
-    for (auto& [vol_id, store] : stores_) {
-      for (const FileId& file : store->FilesWithUncommitted(owner)) {
-        if (store->AbortWriter(file, owner)) {
-          touched.push_back(file);
-        } else {
-          all_done = false;
-        }
+    for (const FileId& file : store_->FilesWithUncommitted(owner)) {
+      if (store_->AbortWriter(file, owner)) {
+        touched.push_back(file);
+      } else {
+        all_done = false;
       }
     }
     if (all_done) {
@@ -577,10 +537,8 @@ void Kernel::ServeReleaseProcess(Pid pid) {
   LockOwner owner{pid, kNoTxn};
   // Section 4.3: a failed process's changes are aborted by the underlying
   // system protocols.
-  for (auto& [vol_id, store] : stores_) {
-    for (const FileId& file : store->FilesWithUncommitted(owner)) {
-      store->AbortWriter(file, owner);
-    }
+  for (const FileId& file : store_->FilesWithUncommitted(owner)) {
+    store_->AbortWriter(file, owner);
   }
   locks_.ReleaseProcess(pid);
 }

@@ -66,12 +66,11 @@ class Kernel {
   SiteId site() const { return site_; }
   bool alive() const { return alive_; }
 
-  // Attaches a volume hosted at this site. The first volume is the root
-  // volume holding this site's coordinator log.
-  void AttachVolume(std::unique_ptr<Volume> volume);
-  Volume* FindVolume(VolumeId id);
+  // This site's only volume; its log holds the site's coordinator and
+  // prepare records.
+  Volume& volume() { return *volume_; }
+  // The volume's file store, or nullptr when `id` is not this site's volume.
   FileStore* StoreFor(VolumeId id);
-  std::vector<Volume*> volumes();
 
   // Wires up message handlers; call once after construction.
   void Start();
@@ -79,10 +78,8 @@ class Kernel {
   // --- Syscall layer (called in the invoking process's context) ---
   Err SysMkdir(OsProcess* p, const std::string& path);
   // Creates a file with replicas on `replication` distinct sites (first at
-  // the caller's site). `volume_hint` places the first replica on a specific
-  // local volume (multi-volume experiments).
-  Err SysCreat(OsProcess* p, const std::string& path, int replication,
-               VolumeId volume_hint = kNoVolume);
+  // the caller's site).
+  Err SysCreat(OsProcess* p, const std::string& path, int replication);
   Err SysUnlink(OsProcess* p, const std::string& path);
   Result<int> SysOpen(OsProcess* p, const std::string& path, OpenFlags flags);
   Err SysClose(OsProcess* p, int fd);
@@ -135,13 +132,16 @@ class Kernel {
   // System::CrashSite after the network layer marks the site dead.
   void OnCrash();
   // Reboot-time recovery (section 4.4): rebuild volume allocation from
-  // stable inodes plus unresolved prepare intentions, then scan coordinator
-  // logs and queue commit/abort completion work.
+  // stable inodes plus unresolved prepare intentions, then scan the
+  // coordinator records and queue commit/abort completion work.
   void OnReboot();
 
   // Aborts a transaction whose top-level process lives here. Safe to call
   // multiple times.
   void AbortTransactionLocal(const TxnId& txn, const std::string& reason);
+
+  // Records of killed processes still kept (see Retire).
+  size_t retired_count() const { return retired_.size(); }
 
   // Deadlock-detector entry point: wait-for edges at this site.
   std::vector<WaitEdge> LocalWaitEdges() const { return locks_.WaitForEdges(); }
@@ -162,6 +162,8 @@ class Kernel {
   void Trace(const char* format, ...) __attribute__((format(printf, 2, 3)));
   // Spawns a tracked kernel process (killed on crash).
   void SpawnKernelProcess(const std::string& name, std::function<void()> body);
+  // Keeps a killed process's record until its fiber is reclaimed.
+  void Retire(std::unique_ptr<OsProcess> process);
   // Crash-injection hook (src/mc): consults the installed SchedulePolicy at a
   // two-phase-commit protocol step; if it elects a crash, the site goes down
   // and the calling process unwinds via SimCancelled. No-op with no policy.
@@ -211,6 +213,14 @@ class Kernel {
   Err RunTwoPhaseCommit(OsProcess* p, TxnRecord* record);
   void AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
                          const std::vector<SiteId>& prepared_sites);
+  // Sends `txn`'s abort to every site in `sites`, one blocking call each.
+  void AbortAtSites(const TxnId& txn, const std::vector<SiteId>& sites);
+  // Transactions prepared here whose coordinator is another site, with that
+  // coordinator, in TxnId order.
+  std::vector<std::pair<TxnId, SiteId>> PreparedElsewhere() const;
+  // Acts on a coordinator's answer to a status inquiry: installs or rolls
+  // back `txn` here; kUnknown (still deciding) leaves it prepared.
+  void ApplyTxnStatus(const TxnId& txn, TxnStatus status);
   // Asynchronous phase two: sends commit messages until every participant
   // acknowledges, then erases the coordinator log (section 4.2).
   void SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants, uint64_t log_id);
@@ -244,18 +254,12 @@ class Kernel {
   LockManager locks_;
   TransactionManager txns_;
   BufferPool pool_;
-  std::vector<std::unique_ptr<Volume>> volumes_;
-  std::map<VolumeId, std::unique_ptr<FileStore>> stores_;
+  std::unique_ptr<Volume> volume_;
+  std::unique_ptr<FileStore> store_;
   // Replica reconciliation driver (src/recon); created in Start().
   std::unique_ptr<ReintegrationManager> recon_;
   // Message formation queue (src/form); created in Start().
   std::unique_ptr<FormationQueue> form_;
-  // Coordinator-log record ids by transaction (volatile index of the root
-  // volume's stable log).
-  std::map<TxnId, uint64_t> coordinator_log_index_;
-  // Prepared-transaction index: txn -> (volume, prepare log record id) pairs
-  // (several per volume in the footnote-10 per-file fidelity mode).
-  std::map<TxnId, std::vector<std::pair<VolumeId, uint64_t>>> prepare_log_index_;
   // Forwarding for migrated transaction records (top-level process moved).
   std::map<TxnId, SiteId> txn_forward_;
   // Transactions with a phase-two driver currently running here.
@@ -278,10 +282,11 @@ class Kernel {
   static constexpr size_t kMinKernelProcsSweep = 16;
   std::vector<ProcessHandle> kernel_procs_;
   size_t kernel_procs_sweep_at_ = kMinKernelProcsSweep;
-  // Records of killed processes. They are kept (not freed) until kernel
-  // destruction because their SimProcess threads may still be unwinding and
-  // in-flight callbacks may hold pointers.
+  // Records of killed processes. The body lambda of a killed process's fiber
+  // holds its OsProcess*, so a record stays until the fiber is reclaimed;
+  // Retire sweeps reclaimed ones by the same doubling rule as kernel_procs_.
   std::vector<std::unique_ptr<OsProcess>> retired_;
+  size_t retired_sweep_at_ = kMinKernelProcsSweep;
   uint64_t next_kproc_ = 1;
 };
 

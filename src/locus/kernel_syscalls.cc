@@ -37,8 +37,7 @@ Err Kernel::SysMkdir(OsProcess* p, const std::string& path) {
   return catalog().MakeDir(path) ? Err::kOk : Err::kExists;
 }
 
-Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
-                     VolumeId volume_hint) {
+Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication) {
   BurnCpu(kSyscallInstructions +
                          kNameResolveInstructionsPerComponent * Catalog::ComponentCount(path));
   if (catalog().Exists(path)) {
@@ -56,15 +55,9 @@ Err Kernel::SysCreat(OsProcess* p, const std::string& path, int replication,
   std::vector<Replica> replicas;
   for (SiteId s : sites) {
     if (IsLocal(s)) {
-      FileStore* store =
-          StoreFor(volume_hint == kNoVolume ? volumes_[0]->id() : volume_hint);
-      if (store == nullptr) {
-        return Err::kInvalid;
-      }
-      replicas.push_back(Replica{s, store->CreateFile()});
+      replicas.push_back(Replica{s, store_->CreateFile()});
     } else {
-      RpcResult res =
-          net().Call(site_, s, MakeMsg<kCreateFileReq>(CreateFileRequest{kNoVolume}));
+      RpcResult res = net().Call(site_, s, MakeMsg<kCreateFileReq>(CreateFileRequest{}));
       if (!res.ok || ReplyOf<kCreateFileReq>(res).err != Err::kOk) {
         // Keep whatever replicas we managed; a file needs at least one.
         continue;

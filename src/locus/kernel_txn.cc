@@ -167,13 +167,11 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
 
   // Step 1: the coordinator log, naming every file and storage site, with the
   // status marker initially unknown.
-  Volume* root = volumes_[0].get();
   CoordinatorLogRecord coord{txn, TxnStatus::kUnknown, record->files};
   // Presumed abort: the begin record need not hit disk before prepares go
   // out — losing it in a crash reads back as "no decision", which recovery
   // treats as abort. The commit mark's force below covers it.
-  uint64_t log_id = root->AppendLog(coord, "coordinator_log", Volume::LogForce::kLazy);
-  coordinator_log_index_[txn] = log_id;
+  uint64_t log_id = volume_->AppendLog(coord, "coordinator_log", Volume::LogForce::kLazy);
   MaybeCrashAt(ProtocolStep::kCoordLogWritten);
 
   // Step 2: prepare messages to every participant site. With formation on,
@@ -285,7 +283,7 @@ Err Kernel::RunTwoPhaseCommit(OsProcess* p, TxnRecord* record) {
   MaybeCrashAt(ProtocolStep::kBeforeCommitMark);
   record->commit_marking = true;
   coord.status = TxnStatus::kCommitted;
-  root->UpdateLog(log_id, coord, "commit_mark");
+  volume_->UpdateLog(log_id, coord, "commit_mark");
   record->commit_marking = false;
   MaybeCrashAt(ProtocolStep::kAfterCommitMark);
   if (system_->observers().enabled()) {
@@ -371,8 +369,7 @@ void Kernel::SpawnPhaseTwo(const TxnId& txn, std::vector<SiteId> participants,
     if (remaining.empty()) {
       // All participants installed their intentions; the coordinator log has
       // served its purpose (section 4.4: retained until completion).
-      volumes_[0]->EraseLog(log_id);
-      coordinator_log_index_.erase(txn);
+      volume_->EraseLog(log_id);
       stats().Add("txn.phase2_completed");
     }
     // Otherwise the log stays; recovery or a topology change re-drives it.
@@ -385,23 +382,25 @@ void Kernel::AbortDuringCommit(TxnRecord* record, uint64_t coord_log_id,
   if (system_->observers().enabled()) {
     system_->observers().OnAbortDecision(net().SiteName(site_), txn);
   }
-  Volume* root = volumes_[0].get();
-  CoordinatorLogRecord coord{txn, TxnStatus::kAborted, record->files};
   // Presumed abort: the abort mark may stay unforced; a crash losing it
   // leaves no decision on disk, which is read as abort anyway.
-  root->UpdateLog(coord_log_id, coord, "abort_mark", Volume::LogForce::kLazy);
-  for (SiteId s : participants) {
+  volume_->UpdateLog(coord_log_id, CoordinatorLogRecord{txn, TxnStatus::kAborted, record->files},
+                     "abort_mark", Volume::LogForce::kLazy);
+  AbortAtSites(txn, participants);
+  volume_->EraseLog(coord_log_id);
+  txns_.Erase(txn);
+  stats().Add("txn.aborted_in_commit");
+  Trace("%s aborted during commit", ToString(txn).c_str());
+}
+
+void Kernel::AbortAtSites(const TxnId& txn, const std::vector<SiteId>& sites) {
+  for (SiteId s : sites) {
     if (IsLocal(s)) {
       ServeAbortTxnAtSite(txn);
     } else {
       form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
     }
   }
-  root->EraseLog(coord_log_id);
-  coordinator_log_index_.erase(txn);
-  txns_.Erase(txn);
-  stats().Add("txn.aborted_in_commit");
-  Trace("%s aborted during commit", ToString(txn).c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -459,13 +458,7 @@ void Kernel::AbortTransactionLocal(const TxnId& txn, const std::string& reason) 
         sites.push_back(msite);
       }
     }
-    for (SiteId s : sites) {
-      if (IsLocal(s)) {
-        ServeAbortTxnAtSite(txn);
-      } else {
-        form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{txn}));
-      }
-    }
+    AbortAtSites(txn, sites);
     // The abort cascades down the process tree: members are terminated.
     for (const auto& [pid, msite] : members) {
       if (pid == top_pid) {
@@ -522,7 +515,7 @@ void Kernel::KillProcessForAbort(Pid pid, const TxnId& txn) {
     std::erase(parent->children, pid);
     parent->children_exited->NotifyAll();
   }
-  retired_.push_back(procs_.Take(pid));
+  Retire(procs_.Take(pid));
   stats().Add("proc.killed");
 }
 
@@ -700,7 +693,7 @@ void Kernel::HandleTopologyChange() {
   // home is unreachable: abort unless already prepared (a prepared
   // participant must block for the coordinator — standard two-phase commit).
   for (const TxnId& txn : locks_.TransactionsWithLocks()) {
-    if (txn.site == site_ || prepare_log_index_.count(txn) != 0) {
+    if (txn.site == site_ || !volume_->RecordsOf<PrepareLogRecord>(txn).empty()) {
       continue;
     }
     if (!net().Reachable(site_, txn.site)) {
@@ -736,17 +729,9 @@ void Kernel::HandleTopologyChange() {
   }
   // Re-drive phase two for committed transactions whose participants were
   // unreachable (the coordinator is responsible for completion).
-  for (const auto& [txn, log_id] : coordinator_log_index_) {
-    if (phase2_active_.count(txn) != 0) {
-      continue;
-    }
-    auto log_it = volumes_[0]->stable_log().find(log_id);
-    if (log_it == volumes_[0]->stable_log().end()) {
-      continue;
-    }
-    const auto* coord = std::any_cast<CoordinatorLogRecord>(&log_it->second.payload);
-    if (coord != nullptr && coord->status == TxnStatus::kCommitted) {
-      SpawnPhaseTwo(txn, ParticipantSites(coord->files), log_id);
+  for (const auto& [log_id, coord] : volume_->RecordsByTxn<CoordinatorLogRecord>()) {
+    if (coord->status == TxnStatus::kCommitted && phase2_active_.count(coord->txn) == 0) {
+      SpawnPhaseTwo(coord->txn, ParticipantSites(coord->files), log_id);
     }
   }
   // Presumed-abort inquiry: a prepared participant whose coordinator rebooted
@@ -756,30 +741,17 @@ void Kernel::HandleTopologyChange() {
   // nothing to re-drive. When the coordinator is reachable after a topology
   // change, ask; a coordinator with no stable record answers abort
   // (section 4.4), while one mid-commit answers unknown and we wait.
-  std::vector<std::pair<TxnId, SiteId>> inquire;
-  for (const auto& [txn, records] : prepare_log_index_) {
-    if (records.empty()) {
+  for (const auto& [txn_ref, coordinator_ref] : PreparedElsewhere()) {
+    if (!net().Reachable(site_, coordinator_ref)) {
       continue;
     }
-    Volume* volume = FindVolume(records[0].first);
-    auto log_it = volume->stable_log().find(records[0].second);
-    if (log_it == volume->stable_log().end()) {
-      continue;
-    }
-    const auto* prep = std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-    if (prep != nullptr && prep->coordinator != site_ &&
-        net().Reachable(site_, prep->coordinator)) {
-      inquire.push_back({txn, prep->coordinator});
-    }
-  }
-  for (const auto& [txn_ref, coordinator_ref] : inquire) {
     TxnId txn = txn_ref;
     SiteId coordinator = coordinator_ref;
     SpawnKernelProcess("txn-inquire", [this, txn, coordinator] {
       // The coordinator may still be mid-recovery (its handlers drop requests
-      // until the volatile indexes are rebuilt), so retry for a while.
+      // until its recovery scan is done), so retry for a while.
       for (int attempt = 0; attempt < 50; ++attempt) {
-        if (prepare_log_index_.count(txn) == 0) {
+        if (volume_->RecordsOf<PrepareLogRecord>(txn).empty()) {
           return;  // Resolved while this process was waiting.
         }
         if (!net().Reachable(site_, coordinator)) {
@@ -788,16 +760,9 @@ void Kernel::HandleTopologyChange() {
         RpcResult res =
             form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
         if (res.ok) {
-          auto status = static_cast<TxnStatus>(ReplyOf<kTxnStatusReq>(res).status);
-          if (status == TxnStatus::kCommitted) {
-            ServeCommitTxn(txn);
-            return;
-          }
-          if (status == TxnStatus::kAborted) {
-            ServeAbortTxnAtSite(txn);
-            return;
-          }
-          return;  // kUnknown: still deciding; the coordinator will tell us.
+          // kUnknown: still deciding; the coordinator will tell us.
+          ApplyTxnStatus(txn, ReplyOf<kTxnStatusReq>(res).status);
+          return;
         }
         sim().Sleep(Milliseconds(300));
       }
@@ -809,12 +774,32 @@ void Kernel::HandleTopologyChange() {
   }
 }
 
+std::vector<std::pair<TxnId, SiteId>> Kernel::PreparedElsewhere() const {
+  std::vector<std::pair<TxnId, SiteId>> out;
+  for (const auto& [id, prep] : volume_->RecordsByTxn<PrepareLogRecord>()) {
+    // Per-file mode gives a transaction several records, all naming one
+    // coordinator.
+    if (prep->coordinator != site_ && (out.empty() || out.back().first != prep->txn)) {
+      out.push_back({prep->txn, prep->coordinator});
+    }
+  }
+  return out;
+}
+
+void Kernel::ApplyTxnStatus(const TxnId& txn, TxnStatus status) {
+  if (status == TxnStatus::kCommitted) {
+    ServeCommitTxn(txn);
+  } else if (status == TxnStatus::kAborted) {
+    ServeAbortTxnAtSite(txn);
+  }
+}
+
 void Kernel::OnCrash() {
   alive_ = false;
   for (OsProcess* p : procs_.All()) {
     sim().Kill(p->sim_process);
     // Retire rather than free: the dying threads may still be unwinding.
-    retired_.push_back(procs_.Take(p->pid));
+    Retire(procs_.Take(p->pid));
   }
   procs_.Clear();
   for (ProcessHandle kp : kernel_procs_) {
@@ -822,26 +807,16 @@ void Kernel::OnCrash() {
   }
   kernel_procs_.clear();
   if (system_->observers().enabled()) {
-    std::vector<int32_t> volume_ids;
-    for (const auto& v : volumes_) {
-      volume_ids.push_back(v->id());
-    }
-    system_->observers().OnSiteCrash(net().SiteName(site_), volume_ids);
+    system_->observers().OnSiteCrash(net().SiteName(site_), {volume_->id()});
   }
   locks_.Clear();
   txns_.Clear();
   pool_.Clear();
-  for (auto& v : volumes_) {
-    v->OnCrash();
-  }
-  for (auto& [id, store] : stores_) {
-    store->OnCrash();
-  }
+  volume_->OnCrash();
+  store_->OnCrash();
   if (form_ != nullptr) {
     form_->OnCrash();
   }
-  coordinator_log_index_.clear();
-  prepare_log_index_.clear();
   txn_forward_.clear();
   phase2_active_.clear();
   abort_done_.clear();
@@ -855,60 +830,51 @@ void Kernel::OnCrash() {
 
 void Kernel::OnReboot() {
   // Message service stays down (handlers silently drop requests, so senders
-  // retry) until local recovery has rebuilt the volatile indexes. Otherwise
-  // a commit message could land before the prepare-log index exists and be
-  // mistaken for a duplicate of an already-resolved transaction — the
-  // coordinator would then erase its log and the committed intentions would
-  // be orphaned.
+  // retry) until the recovery scan below has re-acquired the prepared
+  // transactions' locks and rebuilt the allocation bitmap. Otherwise a new
+  // transaction could read a prepared record's pre-commit value, or allocate
+  // a page that a prepare record still names.
   txns_.set_boot_epoch(net().BootEpoch(site_));
   stats().Add("sys.reboots");
   SpawnKernelProcess("recovery", [this] {
-    // Per-volume recovery: rebuild allocation bitmaps from stable inodes plus
-    // the shadow pages named by unresolved prepare records (section 4.4: the
-    // log decides which pages are freed and which kept).
-    for (auto& v : volumes_) {
-      v->disk().Read(1, "recovery_scan");
-      std::vector<PageId> live;
-      for (const auto& [id, rec] : v->stable_log()) {
-        if (const auto* prep = std::any_cast<PrepareLogRecord>(&rec.payload)) {
-          Trace("recovery: prepare record %llu for %s",
-                static_cast<unsigned long long>(id), ToString(prep->txn).c_str());
-          prepare_log_index_[prep->txn].push_back({v->id(), id});
-          for (const IntentionsList& il : prep->intentions) {
-            for (PageId page : FileStore::PagesNamedBy(il)) {
-              live.push_back(page);
-            }
-            // Re-acquire the transaction's locks from the logged lock-list
-            // information (section 4.2: the prepare log stores "enough of
-            // the intentions lists and lock lists ... to guarantee that the
-            // files can be committed"). Without this, a new transaction
-            // could read the pre-commit value of a committed record while
-            // its redo install is still in flight — a lost update. The
-            // locks release when the transaction resolves.
-            LockOwner owner{kNoPid, prep->txn};
-            for (const ByteRange& range : il.ranges) {
-              locks_.Request(il.file, range, owner, LockMode::kExclusive,
-                             /*non_transaction=*/false, /*wait=*/false,
-                             [](bool granted, ByteRange) { (void)granted; });
-            }
-          }
+    // Rebuild the allocation bitmap from stable inodes plus the shadow pages
+    // named by unresolved prepare records (section 4.4: the log decides
+    // which pages are freed and which kept).
+    volume_->disk().Read(1, "recovery_scan");
+    std::vector<PageId> live;
+    std::vector<std::pair<uint64_t, CoordinatorLogRecord>> coords;
+    for (const auto& [id, rec] : volume_->stable_log()) {
+      if (const auto* c = std::get_if<CoordinatorLogRecord>(&rec.payload)) {
+        coords.push_back({id, *c});
+        continue;
+      }
+      const auto& prep = std::get<PrepareLogRecord>(rec.payload);
+      Trace("recovery: prepare record %llu for %s", static_cast<unsigned long long>(id),
+            ToString(prep.txn).c_str());
+      for (const IntentionsList& il : prep.intentions) {
+        for (PageId page : FileStore::PagesNamedBy(il)) {
+          live.push_back(page);
+        }
+        // Re-acquire the transaction's locks from the logged lock-list
+        // information (section 4.2: the prepare log stores "enough of the
+        // intentions lists and lock lists ... to guarantee that the files can
+        // be committed"). Without this, a new transaction could read the
+        // pre-commit value of a committed record while its redo install is
+        // still in flight — a lost update. The locks release when the
+        // transaction resolves.
+        LockOwner owner{kNoPid, prep.txn};
+        for (const ByteRange& range : il.ranges) {
+          locks_.Request(il.file, range, owner, LockMode::kExclusive,
+                         /*non_transaction=*/false, /*wait=*/false,
+                         [](bool granted, ByteRange) { (void)granted; });
         }
       }
-      v->RecoverAllocation(live);
     }
-    // The coordinator index answers status queries, so it is whole before
-    // service resumes, even while the aborts below block.
-    std::vector<std::pair<uint64_t, CoordinatorLogRecord>> coords;
-    for (const auto& [id, rec] : volumes_[0]->stable_log()) {
-      if (const auto* c = std::any_cast<CoordinatorLogRecord>(&rec.payload)) {
-        coords.push_back({id, *c});
-        coordinator_log_index_[c->txn] = id;
-      }
-    }
-    // Volatile indexes are rebuilt: service can resume.
+    volume_->RecoverAllocation(live);
     alive_ = true;
-    // Coordinator-side recovery: every retained coordinator log is replayed —
-    // committed transactions re-enter phase two, others are aborted.
+    // Coordinator-side recovery: every retained coordinator record is
+    // replayed in log order — committed transactions re-enter phase two,
+    // others are aborted.
     for (auto& [log_id, coord] : coords) {
       std::vector<SiteId> participants = ParticipantSites(coord.files);
       if (coord.status == TxnStatus::kCommitted) {
@@ -919,48 +885,23 @@ void Kernel::OnReboot() {
         if (system_->observers().enabled()) {
           system_->observers().OnAbortDecision(net().SiteName(site_), coord.txn);
         }
-        for (SiteId s : participants) {
-          if (IsLocal(s)) {
-            ServeAbortTxnAtSite(coord.txn);
-          } else {
-            form().Call(s, MakeMsg<kAbortTxnAtSiteReq>(AbortTxnAtSiteRequest{coord.txn}));
-          }
-        }
-        volumes_[0]->EraseLog(log_id);
-        coordinator_log_index_.erase(coord.txn);
+        AbortAtSites(coord.txn, participants);
+        volume_->EraseLog(log_id);
       }
     }
     // Participant-side recovery for prepared transactions whose coordinator
     // is elsewhere: ask for the outcome (presumed abort when the coordinator
     // has no log).
-    std::vector<std::pair<TxnId, SiteId>> ask;
-    for (const auto& [txn, records] : prepare_log_index_) {
-      if (!records.empty()) {
-        auto log_it = FindVolume(records[0].first)->stable_log().find(records[0].second);
-        if (log_it != FindVolume(records[0].first)->stable_log().end()) {
-          const auto* prep = std::any_cast<PrepareLogRecord>(&log_it->second.payload);
-          if (prep != nullptr && prep->coordinator != site_) {
-            ask.push_back({txn, prep->coordinator});
-          }
-        }
-      }
-    }
-    for (const auto& [txn, coordinator] : ask) {
+    for (const auto& [txn, coordinator] : PreparedElsewhere()) {
       if (!net().Reachable(site_, coordinator)) {
         continue;  // Blocked: wait for the coordinator (or a later message).
       }
       RpcResult res =
           form().Call(coordinator, MakeMsg<kTxnStatusReq>(TxnStatusRequest{txn}));
-      if (!res.ok) {
-        continue;
+      if (res.ok) {
+        // kUnknown: outcome pending; the coordinator will tell us.
+        ApplyTxnStatus(txn, ReplyOf<kTxnStatusReq>(res).status);
       }
-      auto status = static_cast<TxnStatus>(ReplyOf<kTxnStatusReq>(res).status);
-      if (status == TxnStatus::kCommitted) {
-        ServeCommitTxn(txn);
-      } else if (status == TxnStatus::kAborted) {
-        ServeAbortTxnAtSite(txn);
-      }
-      // kUnknown: outcome pending; the coordinator will tell us.
     }
     // Replica reintegration: local replicas may have missed propagations
     // while this site was down; verify each against its peers and catch up

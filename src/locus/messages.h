@@ -224,9 +224,8 @@ struct DeadlockReport {
   std::vector<WaitEdge> edges;
 };
 
-struct CreateFileRequest {
-  VolumeId volume = kNoVolume;  // kNoVolume = the site's root volume.
-};
+// Creates a file on the receiving site's volume.
+struct CreateFileRequest {};
 struct CreateFileReply {
   Err err = Err::kOk;
   FileId file;
@@ -249,7 +248,7 @@ struct TxnStatusRequest {
   TxnId txn;
 };
 struct TxnStatusReply {
-  int status = 0;  // Cast of TxnStatus; kAborted when no log exists.
+  TxnStatus status = TxnStatus::kUnknown;  // kAborted when no log exists.
 };
 
 // kReplicaVersionReq: "what ordinal is your committed copy at?"

@@ -7,8 +7,6 @@
 namespace locus {
 
 namespace {
-constexpr int32_t kPagesPerVolume = 8192;
-
 bool AuditEnabled(const SystemOptions& options) {
 #ifdef LOCUS_AUDIT_FORCE
   (void)options;
@@ -34,7 +32,6 @@ System::System(int num_sites, SystemOptions options)
       net_(&sim_, &trace_),
       audit_(&sim_, &stats_, &trace_, AuditEnabled(options)),
       serial_(&sim_, &net_, &stats_, &trace_, SerialEnabled(options)) {
-  trace_.set_enabled(true);
   observers_.Register(&audit_);
   observers_.Register(&serial_);
   if (serial_.enabled()) {
@@ -46,30 +43,12 @@ System::System(int num_sites, SystemOptions options)
     SiteId site = net_.AddSite("site" + std::to_string(i));
     auto kernel = std::make_unique<Kernel>(this, site);
     kernels_.push_back(std::move(kernel));
-    AddVolume(site);  // Root volume.
     kernels_[site]->Start();
   }
   detector_ = std::make_unique<DeadlockDetector>(this);
 }
 
 System::~System() { StopDaemons(); }
-
-VolumeId System::AddVolume(SiteId site) {
-  VolumeId id = AllocVolumeId();
-  std::string name = "d" + std::to_string(site) + "v" + std::to_string(id);
-  auto disk = std::make_unique<Disk>(&sim_, &stats_, name, kPagesPerVolume,
-                                     options_.page_size, options_.disk_latency);
-  auto volume = std::make_unique<Volume>(id, name, std::move(disk));
-  if (options_.double_write_logs) {
-    volume->set_log_append_mode(Volume::LogAppendMode::kDoubleWrite);
-  }
-  volume->BindStats(&stats_);
-  if (options_.formation) {
-    volume->EnableGroupCommit(&sim_);
-  }
-  kernels_[site]->AttachVolume(std::move(volume));
-  return id;
-}
 
 Pid System::Spawn(SiteId site, const std::string& name,
                   std::function<void(Syscalls&)> body) {

@@ -80,9 +80,6 @@ class System {
   int site_count() const { return static_cast<int>(kernels_.size()); }
   const SystemOptions& options() const { return options_; }
 
-  // Adds another volume at `site` (multi-volume experiments). Returns its id.
-  VolumeId AddVolume(SiteId site);
-
   // Starts a user program at `site`; the body runs in a fresh process with
   // blocking Unix-style syscalls. Returns its pid.
   Pid Spawn(SiteId site, const std::string& name, std::function<void(Syscalls&)> body);
@@ -119,7 +116,6 @@ class System {
 
   // --- Cross-site registry helpers used by the kernels ---
   Pid AllocPid(SiteId site);
-  VolumeId AllocVolumeId() { return next_volume_id_++; }
   // Finds a process anywhere in the cluster (stands in for the low-level
   // process-location protocol).
   OsProcess* Locate(Pid pid);
@@ -135,7 +131,6 @@ class System {
   ObserverHub observers_;
   Catalog catalog_;
   std::vector<std::unique_ptr<Kernel>> kernels_;
-  VolumeId next_volume_id_ = 0;
   Pid next_pid_ = 100;
   std::unique_ptr<DeadlockDetector> detector_;
 };

@@ -26,15 +26,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/ids.h"
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
 
 namespace locus {
-
-using SiteId = int32_t;
-inline constexpr SiteId kNoSite = -1;
 
 // A network message. Payloads are typed structs carried through std::any;
 // size_bytes models the wire footprint for latency purposes.

@@ -1,8 +1,9 @@
 // Virtual-time trace log.
 //
 // Subsystems emit structured trace records tagged with the virtual timestamp
-// and an origin label (usually a site name). Tests assert on the records;
-// setting echo(true) streams them to stderr for debugging.
+// and an origin label (usually a site name). The log is off by default, so a
+// run formats and keeps nothing; set_enabled(true) records, and echo(true)
+// also streams the records to stderr for debugging.
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_
@@ -37,7 +38,7 @@ class TraceLog {
   int CountContaining(const std::string& needle) const;
 
  private:
-  bool enabled_ = true;
+  bool enabled_ = false;
   bool echo_ = false;
   std::vector<Record> records_;
 };

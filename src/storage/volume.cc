@@ -11,6 +11,10 @@ namespace {
 constexpr PageId kInodeTablePage = 0;
 constexpr PageId kLogPage = 1;
 constexpr int32_t kReservedPages = 2;
+
+const TxnId& TxnOf(const LogPayload& payload) {
+  return std::visit([](const auto& rec) -> const TxnId& { return rec.txn; }, payload);
+}
 }  // namespace
 
 Volume::Volume(VolumeId id, std::string name, std::unique_ptr<Disk> disk)
@@ -101,7 +105,7 @@ void Volume::EnableGroupCommit(Simulation* sim) {
   force_wait_ = std::make_unique<WaitQueue>(sim);
 }
 
-uint64_t Volume::AppendLog(std::any payload, const char* category, LogForce force) {
+uint64_t Volume::AppendLog(LogPayload payload, const char* category, LogForce force) {
   if (sim_ != nullptr) {
     uint64_t id = next_log_id_++;
     uint64_t stamp = ++staged_stamp_;
@@ -121,11 +125,16 @@ uint64_t Volume::AppendLog(std::any payload, const char* category, LogForce forc
     stats_->Add(log_forces_id_);
   }
   uint64_t id = next_log_id_++;
-  log_[id] = LogRecord{id, std::move(payload)};
+  Publish(id, std::move(payload));
   return id;
 }
 
-void Volume::UpdateLog(uint64_t record_id, std::any payload, const char* category,
+void Volume::Publish(uint64_t id, LogPayload payload) {
+  by_txn_.insert({TxnOf(payload), id});
+  log_[id] = LogRecord{id, std::move(payload)};
+}
+
+void Volume::UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
                        LogForce force) {
   if (sim_ != nullptr) {
     // The target is either published (its append forced) or still staged (a
@@ -139,6 +148,7 @@ void Volume::UpdateLog(uint64_t record_id, std::any payload, const char* categor
     return;
   }
   assert(log_.count(record_id) == 1);
+  assert(TxnOf(log_.at(record_id).payload) == TxnOf(payload));
   disk_->Write(kLogPage, ZeroPage(), category);
   if (stats_ != nullptr) {
     stats_->Add(log_forces_id_);
@@ -187,7 +197,7 @@ void Volume::PublishThrough(uint64_t covered) {
     if (rec.is_update) {
       log_[rec.id].payload = std::move(rec.payload);
     } else {
-      log_[rec.id] = LogRecord{rec.id, std::move(rec.payload)};
+      Publish(rec.id, std::move(rec.payload));
     }
     ++n;
   }
@@ -204,7 +214,11 @@ bool Volume::StagedContains(uint64_t record_id) const {
 }
 
 void Volume::EraseLog(uint64_t record_id) {
-  log_.erase(record_id);
+  auto it = log_.find(record_id);
+  if (it != log_.end()) {
+    by_txn_.erase({TxnOf(it->second.payload), record_id});
+    log_.erase(it);
+  }
   // Purge staged mutations of the erased record too, or a later force would
   // resurrect it (e.g. an abort path that appends lazily and erases at once).
   std::erase_if(staged_, [record_id](const StagedRecord& rec) {

@@ -8,26 +8,34 @@
 //     reclaimed, exactly the decision section 4.4 says requires the log), and
 //   - a log region. Section 4.4: "the Locus transaction mechanism maintains
 //     a separate log per logical volume" so removable media carry their own
-//     recovery state. Coordinator and prepare log records both live here.
+//     recovery state. Each site has exactly one volume, so its log holds
+//     both the coordinator records of transactions coordinated there and
+//     the prepare records of transactions that touched its files.
 //
 // Inodes and log records are kept structurally (not byte-serialized) but are
 // mutated only through operations that charge the same disk I/O a real
 // implementation would; crash discards everything except completed writes.
+// The log answers by transaction: an index keyed by TxnId is updated at the
+// only places the published log changes, so it lives and dies with the
+// stable log and never needs a rebuild.
 
 #ifndef SRC_STORAGE_VOLUME_H_
 #define SRC_STORAGE_VOLUME_H_
 
-#include <any>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/sim/simulation.h"
 #include "src/sim/stats.h"
 #include "src/storage/disk.h"
+#include "src/txn/txn_types.h"
 
 namespace locus {
 
@@ -35,7 +43,6 @@ using Ino = int32_t;
 inline constexpr Ino kNoIno = -1;
 
 using VolumeId = int32_t;
-inline constexpr VolumeId kNoVolume = -1;
 
 // On-disk file descriptor block ("inode"). The pages vector is the file's
 // page-pointer list; committing a file atomically replaces this block.
@@ -52,13 +59,19 @@ struct DiskInode {
   std::vector<PageId> pages;
 };
 
-// One stable log record. `payload` is interpreted by the transaction layer
-// (coordinator records, prepare records); the volume only stores and scans.
+// One stable log record: a coordinator record (section 4.2's transaction
+// structure and status marker) or a prepare record (intentions and lock
+// ranges). The volume stores them and finds them by transaction; the
+// transaction layer decides what they mean.
+using LogPayload = std::variant<CoordinatorLogRecord, PrepareLogRecord>;
 struct LogRecord {
   uint64_t record_id = 0;
-  std::any payload;
+  LogPayload payload;
 };
 
+// A site's volume: its disk, inode table, allocation bitmap and stable log.
+// Every kernel has exactly one; the paper allows several per site (DESIGN.md
+// section 4 lists this deviation).
 class Volume {
  public:
   // Fidelity switch for footnote 9 of the paper: the 1985 implementation
@@ -117,14 +130,28 @@ class Volume {
   // Appends a record, charging one or two writes per the append mode, under
   // the given accounting category ("coordinator_log" / "prepare_log" /
   // "commit_mark"). Returns the record id.
-  uint64_t AppendLog(std::any payload, const char* category,
+  uint64_t AppendLog(LogPayload payload, const char* category,
                      LogForce force = LogForce::kForce);
   // Rewrites an existing record in place (status marker update), one write.
-  void UpdateLog(uint64_t record_id, std::any payload, const char* category,
+  // The record keeps its transaction.
+  void UpdateLog(uint64_t record_id, LogPayload payload, const char* category,
                  LogForce force = LogForce::kForce);
   // Removes a resolved record (no I/O modelled; piggybacked housekeeping).
   void EraseLog(uint64_t record_id);
+  // The published log in record-id order (what a recovery scan reads).
   const std::map<uint64_t, LogRecord>& stable_log() const { return log_; }
+  // `txn`'s published records of kind R, in record-id order. Staged records
+  // are not listed until a force publishes them. Pointers stay valid until
+  // their record is erased.
+  template <typename R>
+  std::vector<std::pair<uint64_t, const R*>> RecordsOf(const TxnId& txn) const {
+    return Collect<R>(by_txn_.lower_bound({txn, 0}), by_txn_.upper_bound({txn, UINT64_MAX}));
+  }
+  // Every published record of kind R, ordered by (TxnId, record id).
+  template <typename R>
+  std::vector<std::pair<uint64_t, const R*>> RecordsByTxn() const {
+    return Collect<R>(by_txn_.begin(), by_txn_.end());
+  }
 
   // --- Crash / recovery support ---
   // Called at site crash: volatile allocation state is lost with the buffer
@@ -141,10 +168,25 @@ class Volume {
   struct StagedRecord {
     bool is_update = false;
     uint64_t id = 0;
-    std::any payload;
+    LogPayload payload;
     uint64_t stamp = 0;
   };
   bool StagedContains(uint64_t record_id) const;
+  // Publishes a new record into the stable log and the by-transaction index.
+  void Publish(uint64_t id, LogPayload payload);
+  using TxnIndex = std::set<std::pair<TxnId, uint64_t>>;
+  // The records of kind R in [from, to) of by_txn_.
+  template <typename R>
+  std::vector<std::pair<uint64_t, const R*>> Collect(TxnIndex::const_iterator from,
+                                                     TxnIndex::const_iterator to) const {
+    std::vector<std::pair<uint64_t, const R*>> out;
+    for (auto it = from; it != to; ++it) {
+      if (const R* rec = std::get_if<R>(&log_.at(it->second).payload)) {
+        out.emplace_back(it->second, rec);
+      }
+    }
+    return out;
+  }
 
   // Blocks until a force covering `stamp` has completed. The first caller to
   // find no force in flight becomes the leader: it captures the current
@@ -170,6 +212,8 @@ class Volume {
   std::map<Ino, DiskInode> inodes_;  // Stable inode table contents.
   uint64_t next_log_id_ = 1;
   std::map<uint64_t, LogRecord> log_;  // Stable log contents.
+  // (transaction, record id) of every record in log_.
+  TxnIndex by_txn_;
 
   // --- Group commit state (active iff sim_ != nullptr) ---
   Simulation* sim_ = nullptr;

@@ -5,7 +5,9 @@
 // and the status marker whose transition to `committed` IS the commit point),
 // the prepare logs at participant sites (intentions + lock information per
 // volume), and the per-file shadow pages themselves. The first two are the
-// record types here; shadow pages live in the FileStore.
+// record types here; shadow pages live in the FileStore. The volume's stable
+// log stores these records typed (src/storage/volume.h), so this header needs
+// only header-only types.
 
 #ifndef SRC_TXN_TXN_TYPES_H_
 #define SRC_TXN_TXN_TYPES_H_
@@ -15,8 +17,6 @@
 
 #include "src/base/ids.h"
 #include "src/fs/intentions.h"
-#include "src/net/network.h"
-#include "src/proc/process.h"
 
 namespace locus {
 

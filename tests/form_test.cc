@@ -35,7 +35,6 @@ void ExpectEveryMessageHandled(System& system) {
 
 DebitCreditResults RunAnchor(const SystemOptions& options) {
   System system(6, options);
-  system.trace().set_enabled(false);
   DebitCreditWorkload workload(&system, AnchorConfig());
   DebitCreditResults results = workload.Execute();
   EXPECT_EQ(system.sim().blocked_process_count(), 0);
@@ -66,7 +65,6 @@ TEST(Formation, BatchingIsDeterministicForFixedSeed) {
     options.seed = seed;
     options.formation = true;
     System system(6, options);
-    system.trace().set_enabled(false);
     DebitCreditConfig config = AnchorConfig();
     config.seed = seed;  // The workload seed shapes think times and routing.
     DebitCreditWorkload workload(&system, config);
@@ -90,7 +88,6 @@ TEST(Formation, OnConservesMoneyWithAuditorClean) {
   options.formation = true;
   options.audit = true;
   System system(6, options);
-  system.trace().set_enabled(false);
   DebitCreditWorkload workload(&system, AnchorConfig());
   DebitCreditResults results = workload.Execute();
 
@@ -116,7 +113,6 @@ TEST(Formation, ReducesMessagesAndForcesPerTxn) {
     options.seed = 42;
     options.formation = formation;
     System system(6, options);
-    system.trace().set_enabled(false);
     DebitCreditWorkload workload(&system, AnchorConfig());
     DebitCreditResults results = workload.Execute();
     EXPECT_TRUE(results.conserved());
@@ -142,7 +138,6 @@ TEST(Formation, DrainWatchdogCatchesStrandedQueue) {
   SystemOptions options;
   options.formation = true;
   System system(2, options);
-  system.trace().set_enabled(false);
   system.sim().set_drain_watchdog(DrainWatchdog::kReport);
 
   Message stranded;
@@ -159,7 +154,6 @@ TEST(Formation, DrainWatchdogQuietOnCleanRun) {
   SystemOptions options;
   options.formation = true;
   System system(2, options);
-  system.trace().set_enabled(false);
   system.sim().set_drain_watchdog(DrainWatchdog::kReport);
   system.Spawn(0, "w", [](Syscalls& sys) {
     ASSERT_EQ(sys.Creat("/f", 1), Err::kOk);

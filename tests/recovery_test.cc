@@ -13,6 +13,40 @@ namespace {
 
 std::string Text(const std::vector<uint8_t>& b) { return {b.begin(), b.end()}; }
 
+void MakeFileAt(System& system, SiteId site, const std::string& path,
+                const std::string& content) {
+  system.Spawn(site, "mk", [path, content](Syscalls& sys) {
+    ASSERT_EQ(sys.Creat(path), Err::kOk);
+    auto fd = sys.Open(path, {.read = true, .write = true});
+    ASSERT_TRUE(fd.ok());
+    ASSERT_EQ(sys.WriteString(fd.value, content), Err::kOk);
+    ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+  });
+  system.RunFor(Seconds(5));
+}
+
+std::string ReadFileAt(System& system, SiteId site, const std::string& path, int64_t n) {
+  std::string out = "<failed>";
+  system.Spawn(site, "rd", [&, path, n](Syscalls& sys) {
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      auto fd = sys.Open(path, {});
+      if (!fd.ok()) {
+        sys.Compute(Milliseconds(100));
+        continue;
+      }
+      auto data = sys.Read(fd.value, n);
+      sys.Close(fd.value);
+      if (data.ok()) {
+        out = Text(data.value);
+        return;
+      }
+      sys.Compute(Milliseconds(100));
+    }
+  });
+  system.RunFor(Seconds(10));
+  return out;
+}
+
 class RecoveryTest : public ::testing::Test {
  protected:
   RecoveryTest() : system_(3) {
@@ -22,36 +56,11 @@ class RecoveryTest : public ::testing::Test {
   }
 
   void MakeFileAt(SiteId site, const std::string& path, const std::string& content) {
-    system_.Spawn(site, "mk", [path, content](Syscalls& sys) {
-      ASSERT_EQ(sys.Creat(path), Err::kOk);
-      auto fd = sys.Open(path, {.read = true, .write = true});
-      ASSERT_TRUE(fd.ok());
-      ASSERT_EQ(sys.WriteString(fd.value, content), Err::kOk);
-      ASSERT_EQ(sys.Close(fd.value), Err::kOk);
-    });
-    system_.RunFor(Seconds(5));
+    locus::MakeFileAt(system_, site, path, content);
   }
 
   std::string ReadFileAt(SiteId site, const std::string& path, int64_t n) {
-    std::string out = "<failed>";
-    system_.Spawn(site, "rd", [&, path, n](Syscalls& sys) {
-      for (int attempt = 0; attempt < 20; ++attempt) {
-        auto fd = sys.Open(path, {});
-        if (!fd.ok()) {
-          sys.Compute(Milliseconds(100));
-          continue;
-        }
-        auto data = sys.Read(fd.value, n);
-        sys.Close(fd.value);
-        if (data.ok()) {
-          out = Text(data.value);
-          return;
-        }
-        sys.Compute(Milliseconds(100));
-      }
-    });
-    system_.RunFor(Seconds(10));
-    return out;
+    return locus::ReadFileAt(system_, site, path, n);
   }
 
   System system_;
@@ -116,27 +125,43 @@ TEST_F(RecoveryTest, CoordinatorCrashAfterCommitPointRecoversAndCommits) {
   EXPECT_GE(system_.stats().Get("recovery.completed"), 1);
 }
 
+// Two files at the participant give it one prepare record, or one per file
+// in the footnote-10 mode; either way redo after its crash installs both and
+// leaves its log empty.
 TEST_F(RecoveryTest, ParticipantCrashAfterPrepareStillCommits) {
-  MakeFileAt(1, "/part", "##########");
-  bool committed = false;
-  system_.Spawn(0, "txn", [&](Syscalls& sys) {
-    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
-    auto fd = sys.Open("/part", {.read = true, .write = true});
-    ASSERT_EQ(sys.WriteString(fd.value, "prepared!!"), Err::kOk);
-    sys.Close(fd.value);
-    ASSERT_EQ(sys.EndTrans(), Err::kOk);  // Commit point reached.
-    committed = true;
-    // Participant (site 1) crashes before phase two reaches it.
-    sys.system().CrashSite(1);
-  });
-  system_.RunFor(Seconds(2));
-  ASSERT_TRUE(committed);
-  system_.RunFor(Seconds(30));  // Coordinator keeps retrying phase two.
-  system_.RebootSite(1);
-  // Participant recovery + coordinator retry install the intentions from the
-  // prepare log.
-  system_.RunFor(Seconds(30));
-  EXPECT_EQ(ReadFileAt(1, "/part", 10), "prepared!!");
+  for (bool per_file : {false, true}) {
+    SCOPED_TRACE(per_file ? "one prepare record per file" : "one prepare record per volume");
+    SystemOptions options;
+    options.prepare_log_per_file = per_file;
+    System system(3, options);
+    system.sim().set_drain_watchdog(DrainWatchdog::kFatal);
+    locus::MakeFileAt(system, 1, "/part", "##########");
+    locus::MakeFileAt(system, 1, "/part2", "**********");
+    bool committed = false;
+    system.Spawn(0, "txn", [&](Syscalls& sys) {
+      ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+      for (const char* path : {"/part", "/part2"}) {
+        auto fd = sys.Open(path, {.read = true, .write = true});
+        ASSERT_EQ(sys.WriteString(fd.value, "prepared!!"), Err::kOk);
+        sys.Close(fd.value);
+      }
+      ASSERT_EQ(sys.EndTrans(), Err::kOk);  // Commit point reached.
+      committed = true;
+      // Participant (site 1) crashes before phase two reaches it.
+      sys.system().CrashSite(1);
+    });
+    system.RunFor(Seconds(2));
+    ASSERT_TRUE(committed);
+    EXPECT_EQ(system.stats().Get("io.writes.prepare_log"), per_file ? 2 : 1);
+    system.RunFor(Seconds(30));  // Coordinator keeps retrying phase two.
+    system.RebootSite(1);
+    // Participant recovery + coordinator retry install the intentions from
+    // the prepare log.
+    system.RunFor(Seconds(30));
+    EXPECT_EQ(locus::ReadFileAt(system, 1, "/part", 10), "prepared!!");
+    EXPECT_EQ(locus::ReadFileAt(system, 1, "/part2", 10), "prepared!!");
+    EXPECT_TRUE(system.kernel(1).volume().stable_log().empty());
+  }
 }
 
 TEST_F(RecoveryTest, ParticipantRecoveryAsksCoordinatorPresumedAbort) {
@@ -178,10 +203,30 @@ TEST_F(RecoveryTest, PartitionAbortsSpanningTransaction) {
   EXPECT_EQ(ReadFileAt(2, "/span", 10), "qqqqqqqqqq");
 }
 
+// A crash kills every resident process; their records are kept only until
+// their fibers finish unwinding, so repeated crashes do not pile them up.
+TEST_F(RecoveryTest, CrashesDoNotAccumulateKilledProcessRecords) {
+  constexpr int kProcs = 40;
+  constexpr int kCrashes = 5;
+  for (int round = 0; round < kCrashes; ++round) {
+    for (int i = 0; i < kProcs; ++i) {
+      system_.Spawn(1, "sleeper", [](Syscalls& sys) { sys.Compute(Seconds(600)); });
+    }
+    system_.RunFor(Milliseconds(100));
+    system_.CrashSite(1);
+    system_.RunFor(Milliseconds(100));
+    system_.RebootSite(1);
+    system_.RunFor(Seconds(1));
+  }
+  // Without the sweep all kCrashes * kProcs records would still be here.
+  EXPECT_LT(system_.kernel(1).retired_count(), static_cast<size_t>(2 * kProcs + 16));
+  EXPECT_EQ(system_.stats().Get("sys.crashes"), kCrashes);
+}
+
 TEST_F(RecoveryTest, ShadowPagesReclaimedAfterCrash) {
   MakeFileAt(0, "/leak", std::string(64, 'x'));
   Kernel& k = system_.kernel(0);
-  Volume* volume = k.volumes()[0];
+  Volume* volume = &k.volume();
   int32_t free_before = volume->free_page_count();
 
   // Uncommitted writes allocate shadow pages, then the site crashes.

@@ -8,6 +8,9 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/storage/disk.h"
 #include "src/storage/volume.h"
@@ -149,6 +152,24 @@ class VolumeTest : public ::testing::Test {
   std::unique_ptr<Volume> volume_;
 };
 
+TxnId Txn(uint64_t serial) { return TxnId{0, 0, serial}; }
+
+CoordinatorLogRecord Coordinator(uint64_t serial, TxnStatus status) {
+  return CoordinatorLogRecord{Txn(serial), status, {}};
+}
+
+PrepareLogRecord Prepare(uint64_t serial) { return PrepareLogRecord{Txn(serial), 1, {}}; }
+
+// Ids of `records`, in the order given.
+template <typename R>
+std::vector<uint64_t> Ids(const std::vector<std::pair<uint64_t, const R*>>& records) {
+  std::vector<uint64_t> ids;
+  for (const auto& [id, rec] : records) {
+    ids.push_back(id);
+  }
+  return ids;
+}
+
 TEST_F(VolumeTest, PageAllocationIsExclusive) {
   PageId a = volume_->AllocPage();
   PageId b = volume_->AllocPage();
@@ -181,13 +202,13 @@ TEST_F(VolumeTest, InodeWriteReadRoundTrip) {
 
 TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
   Run([&] {
-    volume_->AppendLog(std::string("rec1"), "prepare_log");
+    volume_->AppendLog(Prepare(1), "prepare_log");
     EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
     EXPECT_EQ(stats_.Get("io.writes.log_inode"), 0);
 
     // Footnote 9: the 1985 implementation needed two writes per append.
     volume_->set_log_append_mode(Volume::LogAppendMode::kDoubleWrite);
-    volume_->AppendLog(std::string("rec2"), "prepare_log");
+    volume_->AppendLog(Prepare(2), "prepare_log");
     EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 2);
     EXPECT_EQ(stats_.Get("io.writes.log_inode"), 1);
   });
@@ -195,15 +216,60 @@ TEST_F(VolumeTest, LogAppendSingleVsDoubleWrite) {
 
 TEST_F(VolumeTest, LogUpdateAndErase) {
   Run([&] {
-    uint64_t id = volume_->AppendLog(std::string("unknown"), "coordinator_log");
-    volume_->UpdateLog(id, std::string("committed"), "commit_mark");
+    uint64_t id = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
+    volume_->UpdateLog(id, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
     ASSERT_EQ(volume_->stable_log().size(), 1u);
-    EXPECT_EQ(*std::any_cast<std::string>(&volume_->stable_log().at(id).payload),
-              "committed");
+    EXPECT_EQ(std::get<CoordinatorLogRecord>(volume_->stable_log().at(id).payload).status,
+              TxnStatus::kCommitted);
     volume_->EraseLog(id);
     EXPECT_TRUE(volume_->stable_log().empty());
   });
   EXPECT_EQ(stats_.Get("io.writes.commit_mark"), 1);
+}
+
+// The log answers by transaction: records come back by kind, ordered by
+// (TxnId, record id), and leave the answer when erased.
+TEST_F(VolumeTest, LogAnswersByTransaction) {
+  Run([&] {
+    uint64_t b1 = volume_->AppendLog(Prepare(2), "prepare_log");
+    uint64_t a_coord = volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log");
+    uint64_t a_prep = volume_->AppendLog(Prepare(1), "prepare_log");
+    uint64_t b2 = volume_->AppendLog(Prepare(2), "prepare_log");
+    EXPECT_EQ(Ids(volume_->RecordsOf<PrepareLogRecord>(Txn(2))), (std::vector<uint64_t>{b1, b2}));
+    EXPECT_EQ(Ids(volume_->RecordsOf<CoordinatorLogRecord>(Txn(1))),
+              (std::vector<uint64_t>{a_coord}));
+    EXPECT_TRUE(volume_->RecordsOf<CoordinatorLogRecord>(Txn(2)).empty());
+    EXPECT_TRUE(volume_->RecordsOf<PrepareLogRecord>(Txn(3)).empty());
+    EXPECT_EQ(Ids(volume_->RecordsByTxn<PrepareLogRecord>()),
+              (std::vector<uint64_t>{a_prep, b1, b2}));
+    volume_->UpdateLog(a_coord, Coordinator(1, TxnStatus::kCommitted), "commit_mark");
+    EXPECT_EQ(volume_->RecordsOf<CoordinatorLogRecord>(Txn(1)).at(0).second->status,
+              TxnStatus::kCommitted);
+    volume_->EraseLog(b1);
+    EXPECT_EQ(Ids(volume_->RecordsOf<PrepareLogRecord>(Txn(2))), (std::vector<uint64_t>{b2}));
+    // A crash loses nothing published, so the answers survive it.
+    volume_->OnCrash();
+    EXPECT_EQ(Ids(volume_->RecordsByTxn<PrepareLogRecord>()), (std::vector<uint64_t>{a_prep, b2}));
+  });
+}
+
+// With group commit, a lazily appended record is not in the answer until a
+// force publishes it, and is gone for good if a crash comes first.
+TEST_F(VolumeTest, GroupCommitPublishesIntoTheTransactionIndex) {
+  volume_->EnableGroupCommit(&sim_);
+  Run([&] {
+    volume_->AppendLog(Coordinator(1, TxnStatus::kUnknown), "coordinator_log",
+                       Volume::LogForce::kLazy);
+    EXPECT_TRUE(volume_->RecordsOf<CoordinatorLogRecord>(Txn(1)).empty());
+    volume_->AppendLog(Prepare(1), "prepare_log");  // Its force covers both.
+    EXPECT_EQ(volume_->RecordsOf<CoordinatorLogRecord>(Txn(1)).size(), 1u);
+    EXPECT_EQ(volume_->RecordsOf<PrepareLogRecord>(Txn(1)).size(), 1u);
+    volume_->AppendLog(Coordinator(2, TxnStatus::kUnknown), "coordinator_log",
+                       Volume::LogForce::kLazy);
+    volume_->OnCrash();
+    EXPECT_TRUE(volume_->RecordsOf<CoordinatorLogRecord>(Txn(2)).empty());
+  });
+  EXPECT_EQ(stats_.Get("io.writes.prepare_log"), 1);
 }
 
 TEST_F(VolumeTest, CrashRebuildsVolatileCounters) {
@@ -212,12 +278,12 @@ TEST_F(VolumeTest, CrashRebuildsVolatileCounters) {
     DiskInode inode;
     inode.ino = i1;
     volume_->WriteInode(inode);
-    volume_->AppendLog(std::string("r"), "prepare_log");
+    volume_->AppendLog(Prepare(1), "prepare_log");
     volume_->OnCrash();
     // Fresh ids must not collide with stable ones.
     EXPECT_GT(volume_->AllocInode(), i1);
     uint64_t id2 = 0;
-    id2 = volume_->AppendLog(std::string("r2"), "prepare_log");
+    id2 = volume_->AppendLog(Prepare(2), "prepare_log");
     EXPECT_EQ(volume_->stable_log().count(id2), 1u);
     EXPECT_EQ(volume_->stable_log().size(), 2u);
   });

@@ -83,7 +83,7 @@ TEST_F(SyscallTest, NonTransactionCommitAtClose) {
   RunAll();
   // The storage site's stable state holds the data.
   Kernel& k = system_.kernel(0);
-  FileStore* store = k.StoreFor(k.volumes()[0]->id());
+  FileStore* store = k.StoreFor(k.volume().id());
   const CatalogEntry* entry = system_.catalog().Lookup("/f");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(store->CommittedSize(entry->replicas[0].file), 18);
@@ -352,7 +352,7 @@ TEST_F(SyscallTest, TruncateRejectedInsideTransaction) {
 
 TEST_F(SyscallTest, TruncateFreesPages) {
   system_.Spawn(0, "prog", [&](Syscalls& sys) {
-    Volume* volume = sys.system().kernel(0).volumes()[0];
+    Volume* volume = &sys.system().kernel(0).volume();
     int32_t free_before = volume->free_page_count();
     ASSERT_EQ(sys.Creat("/t3"), Err::kOk);
     auto fd = sys.Open("/t3", {.read = true, .write = true});

@@ -11,6 +11,7 @@ namespace {
 
 TEST(TraceLog, RecordsFormattedMessages) {
   TraceLog log;
+  log.set_enabled(true);
   log.Log(Milliseconds(5), "site0", "value=%d name=%s", 42, "x");
   ASSERT_EQ(log.records().size(), 1u);
   EXPECT_EQ(log.records()[0].time, Milliseconds(5));
@@ -19,7 +20,9 @@ TEST(TraceLog, RecordsFormattedMessages) {
 }
 
 TEST(TraceLog, DisabledLogRecordsNothing) {
-  TraceLog log;
+  TraceLog log;  // Off by default.
+  log.Log(0, "x", "dropped");
+  log.set_enabled(true);
   log.set_enabled(false);
   log.Log(0, "x", "dropped");
   EXPECT_TRUE(log.records().empty());
@@ -27,6 +30,7 @@ TEST(TraceLog, DisabledLogRecordsNothing) {
 
 TEST(TraceLog, CountContaining) {
   TraceLog log;
+  log.set_enabled(true);
   log.Log(0, "a", "txn committed");
   log.Log(0, "b", "txn aborted");
   log.Log(0, "c", "txn committed again");

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/locus/system.h"
 
@@ -393,6 +395,93 @@ TEST_F(TxnTest, ReadOnlyTransactionCommitsTrivially) {
   RunAll();
   EXPECT_EQ(system_.stats().Get("txn.committed_trivial"), 1);
   EXPECT_EQ(system_.stats().Get("io.writes.coordinator_log"), 0);
+}
+
+// Figure 5 / section 6.1: the writes one transaction costs, step by step —
+// coordinator log, data pages, prepare log, commit mark, log inode (the 1985
+// double-write logs) and the deferred inode replacement of phase two.
+struct Figure5Io {
+  int64_t coordinator_log = 0;
+  int64_t data = 0;
+  int64_t prepare_log = 0;
+  int64_t commit_mark = 0;
+  int64_t log_inode = 0;
+  int64_t inode = 0;
+  int64_t Total() const {
+    return coordinator_log + data + prepare_log + commit_mark + log_inode + inode;
+  }
+  friend bool operator==(const Figure5Io&, const Figure5Io&) = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Figure5Io& io) {
+  return os << io.coordinator_log << "/" << io.data << "/" << io.prepare_log << "/"
+            << io.commit_mark << "/" << io.log_inode << "/" << io.inode << " = " << io.Total();
+}
+
+// Runs one transaction that updates `pages` pages in each of `files` files,
+// file f stored at site f % `sites`, and returns the writes it cost through
+// the end of phase two.
+Figure5Io RunFigure5Transaction(SystemOptions options, int files, int pages, int sites) {
+  System system(sites, options);
+  const int64_t page = options.page_size;
+  for (int f = 0; f < files; ++f) {
+    system.Spawn(f % sites, "mkfile", [f, pages, page](Syscalls& sys) {
+      const std::string path = "/f" + std::to_string(f);
+      ASSERT_EQ(sys.Creat(path), Err::kOk);
+      auto fd = sys.Open(path, {.read = true, .write = true});
+      ASSERT_EQ(sys.Write(fd.value, std::vector<uint8_t>(page * pages, '.')), Err::kOk);
+      ASSERT_EQ(sys.Close(fd.value), Err::kOk);
+    });
+    system.RunFor(Seconds(30));
+  }
+  auto writes = [&system] {
+    auto get = [&system](const char* category) {
+      return system.stats().Get(std::string("io.writes.") + category);
+    };
+    return Figure5Io{get("coordinator_log"), get("data"),      get("prepare_log"),
+                     get("commit_mark"),     get("log_inode"), get("inode")};
+  };
+  const Figure5Io before = writes();
+  system.Spawn(0, "txn", [files, pages, page](Syscalls& sys) {
+    ASSERT_EQ(sys.BeginTrans(), Err::kOk);
+    for (int f = 0; f < files; ++f) {
+      auto fd = sys.Open("/f" + std::to_string(f), {.read = true, .write = true});
+      for (int p = 0; p < pages; ++p) {
+        sys.Seek(fd.value, p * page + 16);
+        ASSERT_EQ(sys.WriteString(fd.value, "updated-record"), Err::kOk);
+      }
+      sys.Close(fd.value);
+    }
+    ASSERT_EQ(sys.EndTrans(), Err::kOk);
+  });
+  system.RunFor(Seconds(60));  // Includes the asynchronous second phase.
+  EXPECT_EQ(system.stats().Get("txn.phase2_completed"), 1);
+  const Figure5Io after = writes();
+  return Figure5Io{after.coordinator_log - before.coordinator_log, after.data - before.data,
+                   after.prepare_log - before.prepare_log,
+                   after.commit_mark - before.commit_mark, after.log_inode - before.log_inode,
+                   after.inode - before.inode};
+}
+
+TEST(Figure5Test, TransactionIoOverheadPerStep) {
+  SystemOptions plain;
+  SystemOptions per_file;
+  per_file.prepare_log_per_file = true;
+  SystemOptions impl1985;
+  impl1985.double_write_logs = true;
+  impl1985.prepare_log_per_file = true;
+  // The simple transaction: one write per step, five in all.
+  EXPECT_EQ(RunFigure5Transaction(plain, 1, 1, 1), (Figure5Io{1, 1, 1, 1, 0, 1}));
+  // Extra pages in one file add only data writes.
+  EXPECT_EQ(RunFigure5Transaction(plain, 1, 4, 1), (Figure5Io{1, 4, 1, 1, 0, 1}));
+  EXPECT_EQ(RunFigure5Transaction(plain, 1, 8, 1), (Figure5Io{1, 8, 1, 1, 0, 1}));
+  // Each further volume (site) adds one prepare-log write.
+  EXPECT_EQ(RunFigure5Transaction(plain, 2, 1, 2), (Figure5Io{1, 2, 2, 1, 0, 2}));
+  EXPECT_EQ(RunFigure5Transaction(plain, 3, 1, 3), (Figure5Io{1, 3, 3, 1, 0, 3}));
+  // Footnote 10: one prepare record per file, even on one volume.
+  EXPECT_EQ(RunFigure5Transaction(per_file, 2, 1, 1), (Figure5Io{1, 2, 2, 1, 0, 2}));
+  // Footnote 9: the 1985 logs also rewrote the log inode on every append.
+  EXPECT_EQ(RunFigure5Transaction(impl1985, 1, 1, 1), (Figure5Io{1, 1, 1, 1, 2, 1}));
 }
 
 }  // namespace
